@@ -21,7 +21,7 @@ import sys
 
 from . import __version__, fixtures, harness
 from .config import ConfigError, build_config, load_config
-from .forum import DefenseMode
+from .forum import CorruptSnapshot, DefenseMode
 from .harness import ScenarioId, ScenarioSetupFailed
 from .server import ForumServer
 
@@ -85,6 +85,9 @@ def _cmd_serve(args) -> int:
         return EXIT_SETUP_ERROR
     try:
         server = ForumServer(config)
+    except CorruptSnapshot as exc:
+        print(f"csrf-lab: cannot resume from snapshot {exc}", file=sys.stderr)
+        return EXIT_SETUP_ERROR
     except OSError as exc:
         print(f"csrf-lab: cannot bind {config.bind}:{config.port}: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR

@@ -24,6 +24,8 @@ import enum
 import hashlib
 import html
 import json
+import os
+import tempfile
 import threading
 from dataclasses import dataclass, field
 
@@ -50,6 +52,10 @@ class DuplicateUser(Exception):
 
 class BadUsername(Exception):
     pass
+
+
+class CorruptSnapshot(Exception):
+    """A snapshot file that is not a saved forum state."""
 
 
 class DefenseMode(str, enum.Enum):
@@ -451,9 +457,20 @@ class ForumApp:
         }
 
     def save_snapshot(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        """Write to a temp file beside path, then rename it over path, so
+        a crash mid-write leaves the previous snapshot intact."""
+        directory, name = os.path.split(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(self.snapshot(), fh, indent=2, sort_keys=False)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def from_snapshot(cls, doc: dict, admin_token: str = "lab-admin-token") -> "ForumApp":
@@ -479,5 +496,9 @@ class ForumApp:
 
     @classmethod
     def load_snapshot(cls, path: str, admin_token: str = "lab-admin-token") -> "ForumApp":
+        """Raises CorruptSnapshot when the file is not a saved state."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_snapshot(json.load(fh), admin_token=admin_token)
+            try:
+                return cls.from_snapshot(json.load(fh), admin_token=admin_token)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptSnapshot(f"{path}: {type(exc).__name__}: {exc}") from exc

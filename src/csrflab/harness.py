@@ -1,11 +1,14 @@
 """Experiment orchestration: victim login, four attacks, outcome matrix.
 
-Each matrix cell gets a fresh server (same seed), a fresh emulator, and
-a scripted victim: register, log in through the emulator with a
+Each matrix cell gets a fresh ForumApp (same seed), a fresh emulator,
+and a scripted victim: register, log in through the emulator with a
 cookie-capturing navigation hook installed, then fire one attack under
-one defense policy.  Success is decided from server-state evidence (new
-posts attributed to the victim with the attack's title), never from the
-HTTP status alone; the status is recorded alongside for the grid.
+one defense policy.  Over TCP one ForumServer listens for the whole
+matrix and each cell mounts its own app on it, so no state crosses
+cells while the socket stays up.  Success is decided from server-state
+evidence (new posts attributed to the victim with the attack's title),
+never from the HTTP status alone; the status is recorded alongside for
+the grid.
 
 The four scenarios:
 
@@ -22,6 +25,7 @@ nonzero when a run disagrees.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import tempfile
@@ -273,53 +277,53 @@ def run_scenario(
     seed: int = DEFAULT_SEED,
     in_process: bool = False,
     install_hook: bool = True,
+    server: ForumServer | None = None,
 ) -> AttackOutcome:
-    """One matrix cell on a fresh server.  install_hook=False is fault
-    injection for tests: the victim login then captures nothing and the
-    cell fails setup."""
+    """One matrix cell on a fresh ForumApp(policy=defense, seed=seed).
+
+    In-process the cell talks to the app directly.  Over TCP the app is
+    mounted on `server`, the one run_matrix starts for the whole matrix;
+    without one the cell starts and stops its own ephemeral-port server.
+    install_hook=False is fault injection for tests: the victim login
+    then captures nothing and the cell fails setup."""
+    args = (scenario, defense, spoof_origin, seed, install_hook)
     if in_process:
-        app = ForumApp(policy=defense, seed=seed)
+        return _run_cell(*args, server=None)
+    if server is None:
+        with ForumServer(LabConfig(port=0, seed=seed)) as own:
+            return _run_cell(*args, server=own)
+    return _run_cell(*args, server=server)
+
+
+def _run_cell(scenario, defense, spoof_origin, seed, install_hook, server) -> AttackOutcome:
+    """The cell body; server=None runs it in-process."""
+    app = ForumApp(policy=defense, seed=seed)
+    if server is None:
         transport: Transport = InProcessTransport(app)
         base_url = "http://127.0.0.1:8080"
-        server = None
-        admin_token = app.admin_token
     else:
-        server = ForumServer(LabConfig(port=0, policy=defense, seed=seed)).start()
+        server.app = app
         transport = TcpTransport()
         base_url = server.base_url()
-        admin_token = server.app.admin_token
-    try:
-        with tempfile.TemporaryDirectory(prefix="csrf-lab-assets-") as asset_root:
-            return _run_cell(
-                scenario, defense, spoof_origin, transport, base_url,
-                admin_token, asset_root, install_hook,
+    with tempfile.TemporaryDirectory(prefix="csrf-lab-assets-") as asset_root:
+        _register_users(transport, base_url)
+
+        view = WebViewInstance(transport=transport, asset_root=asset_root)
+        if install_hook:
+            view.set_navigation_hook(CookieCapture(view))
+        try:
+            stolen_cookie = victim_login(view, base_url, VICTIM, VICTIM_PASSWORD)
+        except Exception as exc:
+            raise ScenarioSetupFailed(f"victim login failed: {exc}") from exc
+
+        before = _admin_state(transport, base_url, app.admin_token)
+        try:
+            status, response_body = _attack(
+                scenario, view, transport, base_url, stolen_cookie, spoof_origin, asset_root
             )
-    finally:
-        if server is not None:
-            server.stop()
-
-
-def _run_cell(
-    scenario, defense, spoof_origin, transport, base_url, admin_token, asset_root, install_hook
-) -> AttackOutcome:
-    _register_users(transport, base_url)
-
-    view = WebViewInstance(transport=transport, asset_root=asset_root)
-    if install_hook:
-        view.set_navigation_hook(CookieCapture(view))
-    try:
-        stolen_cookie = victim_login(view, base_url, VICTIM, VICTIM_PASSWORD)
-    except Exception as exc:
-        raise ScenarioSetupFailed(f"victim login failed: {exc}") from exc
-
-    before = _admin_state(transport, base_url, admin_token)
-    try:
-        status, response_body = _attack(
-            scenario, view, transport, base_url, stolen_cookie, spoof_origin, asset_root
-        )
-    except Exception as exc:
-        raise ScenarioSetupFailed(f"attack step crashed: {exc}") from exc
-    after = _admin_state(transport, base_url, admin_token)
+        except Exception as exc:
+            raise ScenarioSetupFailed(f"attack step crashed: {exc}") from exc
+        after = _admin_state(transport, base_url, app.admin_token)
 
     success, evidence = verify_outcome(before, after, VICTIM, _SCENARIO_TITLES[scenario])
     notes = _SCENARIO_NOTES[scenario]
@@ -404,23 +408,31 @@ def matrix_cells() -> list[tuple[ScenarioId, DefenseMode, bool]]:
 
 
 def run_matrix(seed: int = DEFAULT_SEED, in_process: bool = False) -> MatrixReport:
+    """Every cell of matrix_cells() in order.  Over TCP one ephemeral-port
+    server serves the whole matrix; each cell mounts a fresh app on it."""
     report = MatrixReport(grid=[], seed=seed, started_at=time.time())
-    for scenario, defense, spoof in matrix_cells():
-        try:
-            outcome = run_scenario(
-                scenario, defense, spoof_origin=spoof, seed=seed, in_process=in_process
-            )
-        except ScenarioSetupFailed as exc:
-            outcome = AttackOutcome(
-                scenario=scenario,
-                defense=defense,
-                spoof=spoof,
-                success=False,
-                http_status=0,
-                evidence=[],
-                notes=f"ScenarioSetupFailed: {exc}",
-            )
-        report.grid.append(outcome)
+    if in_process:
+        listener = contextlib.nullcontext()
+    else:
+        listener = ForumServer(LabConfig(port=0, seed=seed))
+    with listener as server:
+        for scenario, defense, spoof in matrix_cells():
+            try:
+                outcome = run_scenario(
+                    scenario, defense, spoof_origin=spoof, seed=seed,
+                    in_process=in_process, server=server,
+                )
+            except ScenarioSetupFailed as exc:
+                outcome = AttackOutcome(
+                    scenario=scenario,
+                    defense=defense,
+                    spoof=spoof,
+                    success=False,
+                    http_status=0,
+                    evidence=[],
+                    notes=f"ScenarioSetupFailed: {exc}",
+                )
+            report.grid.append(outcome)
     report.finished_at = time.time()
     return report
 

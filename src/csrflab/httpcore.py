@@ -292,6 +292,12 @@ def _parse_header_lines(lines: list[bytes]) -> list[Header]:
     return headers
 
 
+def _is_digits(text: str) -> bool:
+    """RFC 9112 DIGIT+, ASCII only: str.isdigit() alone also accepts the
+    Latin-1 superscripts, which int() then rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _check_body_length(headers: list[Header], body: bytes) -> None:
     declared = [h.value for h in headers if h.name.lower() == "content-length"]
     if len(declared) > 1:
@@ -300,7 +306,7 @@ def _check_body_length(headers: list[Header], body: bytes) -> None:
         if body:
             raise MalformedMessage(f"{len(body)} body bytes without Content-Length")
         return
-    if not declared[0].isdigit():
+    if not _is_digits(declared[0]):
         raise MalformedMessage(f"bad Content-Length {declared[0]!r}")
     expected = int(declared[0])
     if len(body) != expected:
@@ -343,7 +349,7 @@ def parse_request(raw: bytes) -> HttpRequest:
         raise MalformedMessage("multiple Host headers")
     host, _, port_text = hosts[0].partition(":")
     if port_text:
-        if not port_text.isdigit():
+        if not _is_digits(port_text):
             raise MalformedMessage(f"bad Host port {hosts[0]!r}")
         port = int(port_text)
     else:
@@ -370,7 +376,7 @@ def parse_response(raw: bytes) -> HttpResponse:
     version, code_text, reason = parts
     if version != HTTP_VERSION:
         raise MalformedMessage(f"unsupported version {version!r}")
-    if not code_text.isdigit():
+    if not _is_digits(code_text):
         raise MalformedMessage(f"bad status code {code_text!r}")
     status = int(code_text)
     if status not in REASON_PHRASES:

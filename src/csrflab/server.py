@@ -37,14 +37,18 @@ class ForumServer:
     config names one.  When the named snapshot file already exists the
     app resumes from it (state, policy, seed, and token stream all come
     from the file; config.policy/seed apply to fresh starts only).
+
+    Assigning .app mounts another ForumApp on the same listening socket.
+    Do it only between exchanges: a connection still in progress may be
+    answered by either app.
     """
 
     def __init__(self, config: LabConfig | None = None, app: ForumApp | None = None) -> None:
         self.config = config or LabConfig()
-        self.app = app or self._initial_app()
+        app = app or self._initial_app()
         self._tcp = _TcpServer((self.config.bind, self.config.port), _ConnectionHandler)
-        self._tcp.app = self.app
         self._tcp.io_timeout = 10.0
+        self.app = app
         self._thread: threading.Thread | None = None
         self._finished = False
 
@@ -60,6 +64,14 @@ class ForumServer:
         )
 
     @property
+    def app(self) -> ForumApp:
+        return self._tcp.app
+
+    @app.setter
+    def app(self, app: ForumApp) -> None:
+        self._tcp.app = app
+
+    @property
     def port(self) -> int:
         return self._tcp.server_address[1]
 
@@ -72,8 +84,10 @@ class ForumServer:
 
     def start(self) -> "ForumServer":
         self._thread = threading.Thread(
-            # Tight poll so stop() returns promptly; the harness cycles
-            # one server per matrix cell.
+            # Tight poll: stop() waits up to one interval for the serving
+            # loop to notice shutdown, and the harness stops one server
+            # per TCP matrix, so the default 0.5 s would add up to 0.5 s
+            # to every matrix.
             target=lambda: self._tcp.serve_forever(poll_interval=0.02),
             name="csrf-lab-server",
             daemon=True,

@@ -139,6 +139,14 @@ class TestServeCommand:
         assert cli.main(["serve", "--config", str(conf)]) == 2
         assert "listen" in capsys.readouterr().err
 
+    def test_corrupt_snapshot_exits_two(self, tmp_path, capsys):
+        snapshot = tmp_path / "state.json"
+        snapshot.write_text('{"policy": "none", "se')
+        assert cli.main(["serve", "--port", "0", "--snapshot", str(snapshot)]) == 2
+        err = capsys.readouterr().err
+        assert "csrf-lab: cannot resume from snapshot" in err
+        assert "Traceback" not in err
+
     def test_port_collision_exits_two(self, lab_server, capsys):
         server = lab_server()
         assert cli.main(["serve", "--port", str(server.port)]) == 2

@@ -9,6 +9,7 @@ from csrflab.config import ConfigError, build_config, parse_config_text
 from csrflab.forum import (
     Allow,
     BadUsername,
+    CorruptSnapshot,
     DefenseMode,
     Deny,
     DuplicateUser,
@@ -357,6 +358,48 @@ def test_handle_raw_maps_garbage_to_400():
     app = _app()
     out = app.handle_raw(b"not an http request")
     assert out.startswith(b"HTTP/1.1 400 ")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # Latin-1 superscripts pass str.isdigit() but are not RFC 9112
+        # DIGITs; int() used to raise out of handle_raw on them.
+        b"GET /cgi-bin/Forum/index.php HTTP/1.1\r\nHost: h:8\xb2\r\n\r\n",
+        b"POST /cgi-bin/Forum/login.php HTTP/1.1\r\nHost: h\r\n"
+        b"Content-Length: \xb95\r\n\r\nusername=a",
+    ],
+    ids=["host-port", "content-length"],
+)
+def test_handle_raw_rejects_non_ascii_digits_with_400(raw):
+    out = _app().handle_raw(raw)
+    assert out.startswith(b"HTTP/1.1 400 ")
+
+
+def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    app = _scripted_run(42)
+    app.save_snapshot(str(path))
+    saved = path.read_text()
+    # json.dump has written part of the document when it meets the
+    # unserializable value at the end.
+    doc = app.snapshot()
+    doc["posts"].append(object())
+    monkeypatch.setattr(app, "snapshot", lambda: doc)
+    with pytest.raises(TypeError):
+        app.save_snapshot(str(path))
+    assert path.read_text() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+@pytest.mark.parametrize(
+    "text", ["{\"policy\": \"none\", \"se", "[]", "{}", "{\"policy\": \"bogus\"}"]
+)
+def test_load_snapshot_rejects_corrupt_files(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    with pytest.raises(CorruptSnapshot):
+        ForumApp.load_snapshot(str(path))
 
 
 def test_unknown_route_404():

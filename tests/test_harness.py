@@ -22,6 +22,7 @@ from csrflab.harness import (
     verify_outcome,
     victim_login,
 )
+from csrflab.server import ForumServer
 from csrflab.transport import TcpTransport
 from csrflab.webview import WebViewInstance
 
@@ -266,6 +267,30 @@ class TestMatrix:
                 "evidence",
                 "notes",
             ]
+
+    @pytest.mark.parametrize("seed", [1337, 7])
+    def test_tcp_and_in_process_reports_are_identical(self, seed):
+        assert run_matrix(seed).to_json() == run_matrix(seed, in_process=True).to_json()
+
+    def test_tcp_matrix_starts_one_server(self, monkeypatch):
+        starts = []
+        original = ForumServer.start
+
+        def counting_start(server):
+            starts.append(server.port)
+            return original(server)
+
+        monkeypatch.setattr(ForumServer, "start", counting_start)
+        report = run_matrix()
+        assert harness.compare_with_expected(report) == []
+        assert len(starts) == 1
+
+    def test_cells_on_the_shared_server_start_from_empty_state(self):
+        # Each cell mounts a fresh app: before its attack it sees only
+        # its own two registrations and no posts from earlier cells.
+        for outcome in run_matrix().grid:
+            assert outcome.state_before["users"] == [VICTIM, PEER]
+            assert outcome.state_before["posts"] == []
 
     def test_json_is_reproducible(self):
         assert run_matrix(in_process=True).to_json() == run_matrix(in_process=True).to_json()

@@ -68,6 +68,8 @@ def test_parse_request_post_with_body_and_query():
         b"GET http://a/x HTTP/1.1\r\nHost: a\r\n\r\n",  # absolute-form target
         b"GET /x HTTP/1.1\r\nHost: a\r\nNo-Colon-Here\r\n\r\n",
         b"GET /x HTTP/1.1\r\nHost: a:notaport\r\n\r\n",
+        b"GET /x HTTP/1.1\r\nHost: a:8\xb2\r\n\r\n",  # superscript two
+        b"POST /x HTTP/1.1\r\nHost: a\r\nContent-Length: \xb95\r\n\r\nabcde",
         b"GET /x HTTP/1.1\r\nHost: a\r\n",  # missing terminator
         b"GET /x HTTP/1.1\r\nHost: a\r\n\r\nstray-body",
     ],
@@ -114,6 +116,7 @@ def test_parse_response_302_needs_location():
         b"HTTP/2 200 OK\r\n\r\n",
         b"HTTP/1.1 418 Teapot\r\n\r\n",
         b"HTTP/1.1 abc OK\r\n\r\n",
+        b"HTTP/1.1 2\xb20 OK\r\n\r\n",  # superscript two
         b"HTTP/1.1 200\r\n\r\n",
     ],
 )

@@ -123,6 +123,24 @@ def test_in_process_transport_matches_tcp(lab_server):
     assert tcp_server.app.admin_state() == app.admin_state()
 
 
+def test_assigned_app_serves_the_next_exchange(lab_server, transport):
+    server = lab_server()
+    seed_users(server)
+    first = server.app
+    fresh = ForumApp(policy=DefenseMode.CSRF_TOKEN, seed=5)
+    server.app = fresh
+    assert server.app is fresh
+    response = wire_post(
+        transport,
+        server.base_url(),
+        "/cgi-bin/Forum/register.php",
+        [("username", "mallory"), ("password", "pw")],
+    )
+    assert response.status == 302
+    assert list(fresh.users) == ["mallory"]
+    assert list(first.users) == ["sohini", "user1"]
+
+
 def test_host_alias_resolution(lab_server):
     server = lab_server()
     seed_users(server)
