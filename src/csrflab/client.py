@@ -1,14 +1,13 @@
-"""Forged HTTP client: full header control, no browser policy.
+"""Forged HTTP client, and the lab's one request path.
 
-This is the attacker's tool.  It never consults a cookie store, never
-sends an Origin header unless told to, and follows no redirects; the
-only headers on the wire are the ones placed there explicitly plus the
+build() never consults a cookie store or sends an Origin header unless
+told to: the only headers are the ones set explicitly plus the
 Host/Connection/Content-Length bookkeeping added at build time.
+execute() is the only code that puts a request on a transport; the
+harness and the WebView emulator send through it too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .httpcore import (
     HttpMethod,
@@ -18,43 +17,31 @@ from .httpcore import (
     make_request,
     parse_response,
     serialize,
-    set_header,
 )
 from .transport import TcpTransport, Transport
 
 
-@dataclass
-class ForgedRequest:
-    inner: HttpRequest
-
-
 def build(
-    method: HttpMethod, url: str, body_pairs: list[tuple[str, str]] | None = None
-) -> ForgedRequest:
+    method: HttpMethod,
+    url: str,
+    body_pairs: list[tuple[str, str]] | None = None,
+    headers: list[tuple[str, str]] | None = None,
+) -> HttpRequest:
     """Request to an http URL; pairs, when given, become an urlencoded
     body with the matching Content-Type.  Raises BadUrl otherwise."""
     if body_pairs is None:
-        return ForgedRequest(make_request(method, url))
-    return ForgedRequest(
-        make_request(
-            method,
-            url,
-            body=form_urlencode(body_pairs).encode(),
-            content_type="application/x-www-form-urlencoded",
-        )
+        return make_request(method, url, headers=headers)
+    return make_request(
+        method,
+        url,
+        headers=headers,
+        body=form_urlencode(body_pairs).encode(),
+        content_type="application/x-www-form-urlencoded",
     )
 
 
-def set_cookie_header(request: ForgedRequest, cookie_value: str) -> ForgedRequest:
-    """Attach a stolen cookie verbatim.  Overwrites any previous Cookie
-    header; CR/LF in the value is rejected (IllegalHeader)."""
-    set_header(request.inner, "Cookie", cookie_value)
-    return request
-
-
-def execute(request: ForgedRequest, transport: Transport | None = None) -> HttpResponse:
+def execute(request: HttpRequest, transport: Transport | None = None) -> HttpResponse:
     """One exchange, response parsed, no redirect following."""
     transport = transport or TcpTransport()
-    uri = request.inner.uri
-    raw = transport.exchange(uri.host, uri.port, serialize(request.inner))
-    return parse_response(raw)
+    uri = request.uri
+    return parse_response(transport.exchange(uri.host, uri.port, serialize(request)))

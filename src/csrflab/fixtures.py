@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .forum import ForumApp
+from .forum import FORUM_ROOT, ForumApp
 
 CANONICAL_ACTION = "http://www.targetSite.com/cgi-bin/Forum/new_pm.php"
 
@@ -55,7 +55,7 @@ def attack_form_html(base_url: str) -> str:
     """The attack page aimed at a lab server instead of the canonical
     target host."""
     return ATTACK_PAGE_HTML.replace(
-        CANONICAL_ACTION, f"{base_url}/cgi-bin/Forum/new_pm.php"
+        CANONICAL_ACTION, f"{base_url}{FORUM_ROOT}/new_pm.php"
     )
 
 

@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .httpcore import (
     HttpMethod,
@@ -115,6 +115,17 @@ class PostRecord:
     title: str
     message: str
     seq: int
+
+    def to_dict(self) -> dict:
+        """The post as both the admin view and the snapshot store it."""
+        return {
+            "kind": self.kind.value,
+            "sender": self.sender,
+            "recipient": self.recipient,
+            "title": self.title,
+            "message": self.message,
+            "seq": self.seq,
+        }
 
 
 def _digest(salt: str, password: str) -> str:
@@ -366,17 +377,7 @@ class ForumApp:
                 {"session_id": s.session_id[:8], "username": s.username}
                 for s in self.sessions.values()
             ],
-            "posts": [
-                {
-                    "kind": p.kind.value,
-                    "sender": p.sender,
-                    "recipient": p.recipient,
-                    "title": p.title,
-                    "message": p.message,
-                    "seq": p.seq,
-                }
-                for p in self.posts
-            ],
+            "posts": [post.to_dict() for post in self.posts],
         }
         return json.dumps(doc, separators=(",", ":"))
 
@@ -431,29 +432,9 @@ class ForumApp:
             "seed": self.seed,
             "token_counter": self.tokens.counter,
             "next_seq": self._next_seq,
-            "users": [
-                {"username": u.username, "salt": u.salt, "password_digest": u.password_digest}
-                for u in self.users.values()
-            ],
-            "sessions": [
-                {
-                    "session_id": s.session_id,
-                    "username": s.username,
-                    "csrf_token": s.csrf_token,
-                }
-                for s in self.sessions.values()
-            ],
-            "posts": [
-                {
-                    "kind": p.kind.value,
-                    "sender": p.sender,
-                    "recipient": p.recipient,
-                    "title": p.title,
-                    "message": p.message,
-                    "seq": p.seq,
-                }
-                for p in self.posts
-            ],
+            "users": [asdict(user) for user in self.users.values()],
+            "sessions": [asdict(session) for session in self.sessions.values()],
+            "posts": [post.to_dict() for post in self.posts],
         }
 
     def save_snapshot(self, path: str) -> None:

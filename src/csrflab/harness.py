@@ -1,16 +1,18 @@
 """Experiment orchestration: victim login, four attacks, outcome matrix.
 
-Each matrix cell gets a fresh ForumApp (same seed), a fresh emulator,
-and a scripted victim: register, log in through the emulator with a
-cookie-capturing navigation hook installed, then fire one attack under
-one defense policy.  Over TCP one ForumServer listens for the whole
-matrix and each cell mounts its own app on it, so no state crosses
-cells while the socket stays up.  Success is decided from server-state
-evidence (new posts attributed to the victim with the attack's title),
-never from the HTTP status alone; the status is recorded alongside for
-the grid.
+A run opens one Lab, and each cell mounts a fresh ForumApp (same seed)
+on it: on the run's one ForumServer over TCP, on an InProcessTransport
+in-process.  No state crosses cells.  A cell registers a scripted
+victim, logs it in through a fresh emulator with a cookie-capturing
+navigation hook installed, then fires one attack under one defense
+policy; every request goes out through client.execute.  Success is
+decided from server-state evidence (new posts attributed to the victim
+with the attack's title), never from the HTTP status alone; the status
+is recorded alongside for the grid.
 
-The four scenarios:
+SCENARIOS is the one table of the four scenarios; EXPECTED_GRID and
+matrix_cells() are derived from it, and the CLI exits nonzero when a
+run disagrees with the grid:
 
   A1  load_url of a packaged attack page that auto-submits a hidden form
   A2  load_data of the same markup as a raw string (opaque origin)
@@ -18,9 +20,6 @@ The four scenarios:
   A4  a forged request carrying the cookie lifted from the cookie
       manager during the victim's login (optionally with a spoofed
       Origin header)
-
-EXPECTED_GRID holds the outcome every cell must produce; the CLI exits
-nonzero when a run disagrees.
 """
 
 from __future__ import annotations
@@ -29,21 +28,17 @@ import contextlib
 import enum
 import json
 import tempfile
-import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from . import __version__, client, fixtures
 from .config import LabConfig
-from .cookies import CookieStore
-from .forum import DefenseMode, ForumApp
-from .httpcore import (
-    HttpMethod,
-    form_urlencode,
-    make_request,
-    parse_response,
-    serialize,
-    set_header,
-)
+from .forum import FORUM_ROOT, DefenseMode, ForumApp
+from .httpcore import HttpMethod, set_header
+
+# Sent through client.execute; still imported because the benchmark's
+# tracer (perfbench/tracing.py) wraps them by this module's name.
+from .httpcore import form_urlencode, make_request, parse_response, serialize  # noqa: F401
 from .server import ForumServer
 from .transport import InProcessTransport, TcpTransport, Transport
 from .webview import WebViewInstance
@@ -53,8 +48,6 @@ VICTIM = "sohini"
 VICTIM_PASSWORD = "victim-pw"
 PEER = "user1"
 PEER_PASSWORD = "peer-pw"
-
-FORUM_ROOT = "/cgi-bin/Forum"
 
 
 class LoginFailed(Exception):
@@ -78,21 +71,6 @@ class ScenarioId(str, enum.Enum):
     A2_LOAD_DATA = "A2"
     A3_POST_URL = "A3"
     A4_FORGED_CLIENT = "A4"
-
-
-_SCENARIO_TITLES = {
-    ScenarioId.A1_LOAD_URL_ASSET_FORM: fixtures.ATTACK_TITLE,
-    ScenarioId.A2_LOAD_DATA: fixtures.ATTACK_TITLE,
-    ScenarioId.A3_POST_URL: fixtures.API_POST_TITLE,
-    ScenarioId.A4_FORGED_CLIENT: fixtures.API_POST_TITLE,
-}
-
-_SCENARIO_NOTES = {
-    ScenarioId.A1_LOAD_URL_ASSET_FORM: "auto-submitting form loaded from a packaged asset",
-    ScenarioId.A2_LOAD_DATA: "auto-submitting form loaded as raw data, opaque origin",
-    ScenarioId.A3_POST_URL: "direct API POST with no initiating document",
-    ScenarioId.A4_FORGED_CLIENT: "forged request carrying the captured session cookie",
-}
 
 
 @dataclass
@@ -126,10 +104,6 @@ class MatrixReport:
     grid: list[AttackOutcome]
     seed: int
     version: str = __version__
-    # Wall-clock stays on the object only; the JSON report must be
-    # byte-identical across same-seed runs.
-    started_at: float = 0.0
-    finished_at: float = 0.0
 
     def to_json(self) -> str:
         doc = {
@@ -138,31 +112,6 @@ class MatrixReport:
             "cells": [outcome.to_cell() for outcome in self.grid],
         }
         return json.dumps(doc, indent=2) + "\n"
-
-
-# Expected outcome per (scenario, defense, spoof): success flag and the
-# status of the attack's own request.  The none column reproduces the
-# undefended forum; the rest follow from which component each defense
-# can see (tokens: body; origins: headers; SameSite: browser attachment).
-EXPECTED_GRID: dict[tuple[str, str, bool], tuple[bool, int]] = {
-    ("A1", "none", False): (True, 302),
-    ("A1", "csrf_token", False): (False, 403),
-    ("A1", "origin_check", False): (False, 403),
-    ("A1", "samesite_strict", False): (False, 401),
-    ("A2", "none", False): (True, 302),
-    ("A2", "csrf_token", False): (False, 403),
-    ("A2", "origin_check", False): (False, 403),
-    ("A2", "samesite_strict", False): (False, 401),
-    ("A3", "none", False): (True, 302),
-    ("A3", "csrf_token", False): (False, 403),
-    ("A3", "origin_check", False): (False, 403),
-    ("A3", "samesite_strict", False): (True, 302),
-    ("A4", "none", False): (True, 302),
-    ("A4", "csrf_token", False): (False, 403),
-    ("A4", "origin_check", False): (False, 403),
-    ("A4", "samesite_strict", False): (True, 302),
-    ("A4", "origin_check", True): (True, 302),
-}
 
 
 class CookieCapture:
@@ -223,155 +172,94 @@ def verify_outcome(
     return bool(evidence), evidence
 
 
-# ----------------------------------------------------------- wire helpers
+# ------------------------------------------------------------------- lab
 
 
-def _exchange(transport: Transport, request) -> "HttpResponse":
-    uri = request.uri
-    return parse_response(transport.exchange(uri.host, uri.port, serialize(request)))
+@dataclass(frozen=True)
+class Lab:
+    """Where the cells of one run send their requests.  mount is the
+    object whose .app each cell assigns: the ForumServer over TCP, the
+    InProcessTransport in-process."""
+
+    transport: Transport
+    base_url: str
+    mount: ForumServer | InProcessTransport
 
 
-def _wire_post(transport, base_url, path, pairs):
-    request = make_request(
-        HttpMethod.POST,
-        f"{base_url}{path}",
-        body=form_urlencode(pairs).encode(),
-        content_type="application/x-www-form-urlencoded",
-    )
-    return _exchange(transport, request)
+@contextlib.contextmanager
+def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab]:
+    """Over TCP, one ephemeral-port ForumServer for the whole run, stopped
+    on exit; in-process, dispatch straight into the mounted app."""
+    if in_process:
+        transport = InProcessTransport(None)
+        yield Lab(transport, "http://127.0.0.1:8080", transport)
+        return
+    with ForumServer(LabConfig(port=0, seed=seed)) as server:
+        yield Lab(TcpTransport(), server.base_url(), server)
 
 
-def _register_users(transport, base_url) -> None:
+def _register_users(lab: Lab) -> None:
     for username, password in ((VICTIM, VICTIM_PASSWORD), (PEER, PEER_PASSWORD)):
-        response = _wire_post(
-            transport,
-            base_url,
-            f"{FORUM_ROOT}/register.php",
+        request = client.build(
+            HttpMethod.POST,
+            f"{lab.base_url}{FORUM_ROOT}/register.php",
             [("username", username), ("password", password)],
         )
+        response = client.execute(request, lab.transport)
         if response.status != 302:
             raise ScenarioSetupFailed(
                 f"registration of {username!r} answered {response.status}"
             )
 
 
-def _admin_state(transport, base_url, admin_token) -> dict:
-    request = make_request(
+def _admin_state(lab: Lab, admin_token: str) -> dict:
+    request = client.build(
         HttpMethod.GET,
-        f"{base_url}/admin/state",
+        f"{lab.base_url}/admin/state",
         headers=[("Authorization", f"Bearer {admin_token}")],
     )
-    response = _exchange(transport, request)
+    response = client.execute(request, lab.transport)
     if response.status != 200:
         raise ScenarioSetupFailed(f"admin state endpoint answered {response.status}")
     return json.loads(response.body)
 
 
-# -------------------------------------------------------------- scenarios
+# --------------------------------------------------------------- attacks
+#
+# Each attack step returns the status of the attack's own request plus a
+# short body excerpt for the notes.
 
 
-def run_scenario(
-    scenario: ScenarioId,
-    defense: DefenseMode,
-    spoof_origin: bool = False,
-    seed: int = DEFAULT_SEED,
-    in_process: bool = False,
-    install_hook: bool = True,
-    server: ForumServer | None = None,
-) -> AttackOutcome:
-    """One matrix cell on a fresh ForumApp(policy=defense, seed=seed).
-
-    In-process the cell talks to the app directly.  Over TCP the app is
-    mounted on `server`, the one run_matrix starts for the whole matrix;
-    without one the cell starts and stops its own ephemeral-port server.
-    install_hook=False is fault injection for tests: the victim login
-    then captures nothing and the cell fails setup."""
-    args = (scenario, defense, spoof_origin, seed, install_hook)
-    if in_process:
-        return _run_cell(*args, server=None)
-    if server is None:
-        with ForumServer(LabConfig(port=0, seed=seed)) as own:
-            return _run_cell(*args, server=own)
-    return _run_cell(*args, server=server)
+def _load_asset_page(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
+    page = fixtures.attack_form_html(lab.base_url)
+    with open(f"{asset_root}/attack_form.html", "w", encoding="utf-8") as fh:
+        fh.write(page)
+    result = view.load_url("asset:///attack_form.html")
+    return _navigation_status(result)
 
 
-def _run_cell(scenario, defense, spoof_origin, seed, install_hook, server) -> AttackOutcome:
-    """The cell body; server=None runs it in-process."""
-    app = ForumApp(policy=defense, seed=seed)
-    if server is None:
-        transport: Transport = InProcessTransport(app)
-        base_url = "http://127.0.0.1:8080"
-    else:
-        server.app = app
-        transport = TcpTransport()
-        base_url = server.base_url()
-    with tempfile.TemporaryDirectory(prefix="csrf-lab-assets-") as asset_root:
-        _register_users(transport, base_url)
-
-        view = WebViewInstance(transport=transport, asset_root=asset_root)
-        if install_hook:
-            view.set_navigation_hook(CookieCapture(view))
-        try:
-            stolen_cookie = victim_login(view, base_url, VICTIM, VICTIM_PASSWORD)
-        except Exception as exc:
-            raise ScenarioSetupFailed(f"victim login failed: {exc}") from exc
-
-        before = _admin_state(transport, base_url, app.admin_token)
-        try:
-            status, response_body = _attack(
-                scenario, view, transport, base_url, stolen_cookie, spoof_origin, asset_root
-            )
-        except Exception as exc:
-            raise ScenarioSetupFailed(f"attack step crashed: {exc}") from exc
-        after = _admin_state(transport, base_url, app.admin_token)
-
-    success, evidence = verify_outcome(before, after, VICTIM, _SCENARIO_TITLES[scenario])
-    notes = _SCENARIO_NOTES[scenario]
-    if spoof_origin:
-        notes += "; Origin header spoofed to the site origin"
-    if not success and response_body:
-        notes += f"; server said: {response_body}"
-    return AttackOutcome(
-        scenario=scenario,
-        defense=defense,
-        spoof=spoof_origin,
-        success=success,
-        http_status=status,
-        evidence=evidence,
-        notes=notes,
-        state_before=before,
-        state_after=after,
+def _load_raw_data(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
+    result = view.load_data(
+        fixtures.attack_form_html(lab.base_url), "text/html; charset=utf-8", "UTF-8"
     )
+    return _navigation_status(result)
 
 
-def _attack(
-    scenario, view, transport, base_url, stolen_cookie, spoof_origin, asset_root
-) -> tuple[int, str]:
-    """Returns the status of the attack's own request plus a short body
-    excerpt for the notes."""
-    if scenario is ScenarioId.A1_LOAD_URL_ASSET_FORM:
-        page = fixtures.attack_form_html(base_url)
-        with open(f"{asset_root}/attack_form.html", "w", encoding="utf-8") as fh:
-            fh.write(page)
-        result = view.load_url("asset:///attack_form.html")
-        return _navigation_status(result)
-    if scenario is ScenarioId.A2_LOAD_DATA:
-        result = view.load_data(
-            fixtures.attack_form_html(base_url), "text/html; charset=utf-8", "UTF-8"
-        )
-        return _navigation_status(result)
-    if scenario is ScenarioId.A3_POST_URL:
-        result = view.post_url(
-            f"{base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_BODY.encode()
-        )
-        return _navigation_status(result)
+def _post_url(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
+    result = view.post_url(
+        f"{lab.base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_BODY.encode()
+    )
+    return _navigation_status(result)
+
+
+def _forged_client(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
     forged = client.build(
-        HttpMethod.POST, f"{base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_PAIRS
+        HttpMethod.POST, f"{lab.base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_PAIRS
     )
-    client.set_cookie_header(forged, stolen_cookie)
+    set_header(forged, "Cookie", stolen_cookie)
     if spoof_origin:
-        set_header(forged.inner, "Origin", base_url)
-    response = client.execute(forged, transport)
+        set_header(forged, "Origin", lab.base_url)
+    response = client.execute(forged, lab.transport)
     return response.status, _body_excerpt(response)
 
 
@@ -391,36 +279,182 @@ def _body_excerpt(response) -> str:
     return response.body[:120].decode("utf-8", errors="replace")
 
 
-# ----------------------------------------------------------------- matrix
+# ------------------------------------------------------------- scenarios
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One row: title is that of the forged post whose presence proves
+    success; expected maps each (defense, spoof) cell, in matrix order,
+    to (success, status of the attack's own request)."""
+
+    id: ScenarioId
+    title: str
+    notes: str
+    attack: Callable[..., tuple[int, str]]
+    expected: dict[tuple[DefenseMode, bool], tuple[bool, int]]
+
+
+# The none column reproduces the undefended forum; the rest follow from
+# which component each defense can see (tokens: body; origins: headers;
+# SameSite: browser attachment).  The one spoof cell, A4 with a forged
+# Origin, is only a distinct experiment where origins are checked.
+SCENARIOS: dict[ScenarioId, ScenarioSpec] = {
+    spec.id: spec
+    for spec in (
+        ScenarioSpec(
+            ScenarioId.A1_LOAD_URL_ASSET_FORM,
+            title=fixtures.ATTACK_TITLE,
+            notes="auto-submitting form loaded from a packaged asset",
+            attack=_load_asset_page,
+            expected={
+                (DefenseMode.NONE, False): (True, 302),
+                (DefenseMode.CSRF_TOKEN, False): (False, 403),
+                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
+                (DefenseMode.SAMESITE_STRICT, False): (False, 401),
+            },
+        ),
+        ScenarioSpec(
+            ScenarioId.A2_LOAD_DATA,
+            title=fixtures.ATTACK_TITLE,
+            notes="auto-submitting form loaded as raw data, opaque origin",
+            attack=_load_raw_data,
+            expected={
+                (DefenseMode.NONE, False): (True, 302),
+                (DefenseMode.CSRF_TOKEN, False): (False, 403),
+                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
+                (DefenseMode.SAMESITE_STRICT, False): (False, 401),
+            },
+        ),
+        ScenarioSpec(
+            ScenarioId.A3_POST_URL,
+            title=fixtures.API_POST_TITLE,
+            notes="direct API POST with no initiating document",
+            attack=_post_url,
+            expected={
+                (DefenseMode.NONE, False): (True, 302),
+                (DefenseMode.CSRF_TOKEN, False): (False, 403),
+                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
+                (DefenseMode.SAMESITE_STRICT, False): (True, 302),
+            },
+        ),
+        ScenarioSpec(
+            ScenarioId.A4_FORGED_CLIENT,
+            title=fixtures.API_POST_TITLE,
+            notes="forged request carrying the captured session cookie",
+            attack=_forged_client,
+            expected={
+                (DefenseMode.NONE, False): (True, 302),
+                (DefenseMode.CSRF_TOKEN, False): (False, 403),
+                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
+                (DefenseMode.SAMESITE_STRICT, False): (True, 302),
+                (DefenseMode.ORIGIN_CHECK, True): (True, 302),
+            },
+        ),
+    )
+}
+
+# (success, status) per (scenario, defense, spoof).
+EXPECTED_GRID: dict[tuple[str, str, bool], tuple[bool, int]] = {
+    (spec.id.value, defense.value, spoof): outcome
+    for spec in SCENARIOS.values()
+    for (defense, spoof), outcome in spec.expected.items()
+}
 
 
 def matrix_cells() -> list[tuple[ScenarioId, DefenseMode, bool]]:
-    """The 17 cells: every scenario under every defense, plus the one
-    informative spoof variant (A4 with a forged Origin is only a
-    distinct experiment where origins are actually checked)."""
-    cells = [
-        (scenario, defense, False)
-        for scenario in ScenarioId
-        for defense in DefenseMode
+    """The 17 cells in table order: every scenario under every defense,
+    plus the one spoof variant."""
+    return [
+        (spec.id, defense, spoof)
+        for spec in SCENARIOS.values()
+        for defense, spoof in spec.expected
     ]
-    cells.append((ScenarioId.A4_FORGED_CLIENT, DefenseMode.ORIGIN_CHECK, True))
-    return cells
+
+
+def run_scenario(
+    scenario: ScenarioId,
+    defense: DefenseMode,
+    spoof_origin: bool = False,
+    seed: int = DEFAULT_SEED,
+    in_process: bool = False,
+    install_hook: bool = True,
+    lab: Lab | None = None,
+) -> AttackOutcome:
+    """One matrix cell on a fresh ForumApp(policy=defense, seed=seed),
+    mounted on `lab`, the one run_matrix opens for the whole matrix.
+    Without one the cell opens and closes its own, in-process or over
+    TCP as in_process says.  install_hook=False is fault injection for
+    tests: the victim login then captures nothing and the cell fails
+    setup."""
+    if lab is None:
+        with open_lab(seed, in_process) as own:
+            return _run_cell(scenario, defense, spoof_origin, seed, install_hook, own)
+    return _run_cell(scenario, defense, spoof_origin, seed, install_hook, lab)
+
+
+def _run_cell(scenario, defense, spoof_origin, seed, install_hook, lab) -> AttackOutcome:
+    app = ForumApp(policy=defense, seed=seed)
+    lab.mount.app = app
+    spec = SCENARIOS[scenario]
+    with tempfile.TemporaryDirectory(prefix="csrf-lab-assets-") as asset_root:
+        _register_users(lab)
+
+        view = WebViewInstance(transport=lab.transport, asset_root=asset_root)
+        if install_hook:
+            view.set_navigation_hook(CookieCapture(view))
+        try:
+            stolen_cookie = victim_login(view, lab.base_url, VICTIM, VICTIM_PASSWORD)
+        except Exception as exc:
+            raise ScenarioSetupFailed(f"victim login failed: {exc}") from exc
+
+        before = _admin_state(lab, app.admin_token)
+        try:
+            status, response_body = _attack(
+                scenario, view, lab, stolen_cookie, spoof_origin, asset_root
+            )
+        except Exception as exc:
+            raise ScenarioSetupFailed(f"attack step crashed: {exc}") from exc
+        after = _admin_state(lab, app.admin_token)
+
+    success, evidence = verify_outcome(before, after, VICTIM, spec.title)
+    notes = spec.notes
+    if spoof_origin:
+        notes += "; Origin header spoofed to the site origin"
+    if not success and response_body:
+        notes += f"; server said: {response_body}"
+    return AttackOutcome(
+        scenario=scenario,
+        defense=defense,
+        spoof=spoof_origin,
+        success=success,
+        http_status=status,
+        evidence=evidence,
+        notes=notes,
+        state_before=before,
+        state_after=after,
+    )
+
+
+def _attack(
+    scenario, view, lab, stolen_cookie, spoof_origin, asset_root
+) -> tuple[int, str]:
+    """The attack step of the scenario's row."""
+    return SCENARIOS[scenario].attack(view, lab, stolen_cookie, spoof_origin, asset_root)
+
+
+# ----------------------------------------------------------------- matrix
 
 
 def run_matrix(seed: int = DEFAULT_SEED, in_process: bool = False) -> MatrixReport:
-    """Every cell of matrix_cells() in order.  Over TCP one ephemeral-port
-    server serves the whole matrix; each cell mounts a fresh app on it."""
-    report = MatrixReport(grid=[], seed=seed, started_at=time.time())
-    if in_process:
-        listener = contextlib.nullcontext()
-    else:
-        listener = ForumServer(LabConfig(port=0, seed=seed))
-    with listener as server:
+    """Every cell of matrix_cells() in order, all on one lab: over TCP one
+    ephemeral-port server serves the whole matrix."""
+    report = MatrixReport(grid=[], seed=seed)
+    with open_lab(seed, in_process) as lab:
         for scenario, defense, spoof in matrix_cells():
             try:
                 outcome = run_scenario(
-                    scenario, defense, spoof_origin=spoof, seed=seed,
-                    in_process=in_process, server=server,
+                    scenario, defense, spoof_origin=spoof, seed=seed, lab=lab
                 )
             except ScenarioSetupFailed as exc:
                 outcome = AttackOutcome(
@@ -433,7 +467,6 @@ def run_matrix(seed: int = DEFAULT_SEED, in_process: bool = False) -> MatrixRepo
                     notes=f"ScenarioSetupFailed: {exc}",
                 )
             report.grid.append(outcome)
-    report.finished_at = time.time()
     return report
 
 

@@ -39,6 +39,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urljoin
 
+from . import client
 from . import cookies as cookiemod
 from .cookies import CookieStore, Origin, RequestContext
 from .httpcore import (
@@ -48,11 +49,12 @@ from .httpcore import (
     form_urlencode,
     get_header,
     make_request,
-    parse_response,
     parse_url,
-    serialize,
     set_header,
 )
+# Sent through client.execute; still imported because the benchmark's
+# tracer (perfbench/tracing.py) wraps them by this module's name.
+from .httpcore import parse_response, serialize  # noqa: F401
 from .transport import TcpTransport, Transport
 
 logger = logging.getLogger(__name__)
@@ -303,9 +305,7 @@ class WebViewInstance:
             set_header(request, "Cookie", cookie)
         if origin_header is not None:
             set_header(request, "Origin", origin_header)
-        return request, parse_response(
-            self.transport.exchange(request.uri.host, request.uri.port, serialize(request))
-        )
+        return request, client.execute(request, self.transport)
 
     def _navigate(
         self,
@@ -314,12 +314,14 @@ class WebViewInstance:
         body: bytes,
         content_type: str | None,
         initiator: Origin | None,
-        origin_header: str | None,
-        hook_before_initial: bool,
     ) -> LoadResult:
-        if hook_before_initial and self._consult_hook(url):
+        """initiator is the origin of the document that started the
+        navigation, None for an API call.  Only a document-initiated
+        request consults the hook first and carries an Origin header."""
+        if initiator is not None and self._consult_hook(url):
             return LoadResult(url=url, overridden=True)
 
+        origin_header = None if initiator is None else initiator.serialize()
         request, response = self._network_exchange(
             method, url, body, content_type, initiator, origin_header
         )
@@ -385,8 +387,6 @@ class WebViewInstance:
                 b"",
                 None,
                 initiator=None,
-                origin_header=None,
-                hook_before_initial=False,
             )
         if uri.scheme == "asset":
             text = self._read_asset(uri.path)
@@ -454,8 +454,6 @@ class WebViewInstance:
             bytes(body),
             "application/x-www-form-urlencoded",
             initiator=None,
-            origin_header=None,
-            hook_before_initial=False,
         )
 
     def submit_form(self, form: HtmlForm, initiator: Origin) -> LoadResult:
@@ -473,8 +471,6 @@ class WebViewInstance:
                 form_urlencode(fields).encode(),
                 "application/x-www-form-urlencoded",
                 initiator=initiator,
-                origin_header=initiator.serialize(),
-                hook_before_initial=True,
             )
         base = form.action.split("?")[0]
         target = f"{base}?{form_urlencode(fields)}" if fields else base
@@ -484,8 +480,6 @@ class WebViewInstance:
             b"",
             None,
             initiator=initiator,
-            origin_header=initiator.serialize(),
-            hook_before_initial=True,
         )
 
     def user_submit_form(

@@ -2,16 +2,10 @@
 
 import pytest
 
+from csrflab import client
 from csrflab.config import LabConfig
 from csrflab.forum import DefenseMode
-from csrflab.httpcore import (
-    HttpMethod,
-    form_urlencode,
-    make_request,
-    parse_response,
-    serialize,
-    set_header,
-)
+from csrflab.httpcore import HttpMethod, set_header
 from csrflab.server import ForumServer
 from csrflab.transport import TcpTransport
 
@@ -34,25 +28,19 @@ def lab_server():
 
 
 def wire_post(transport, base_url, path, pairs, cookie=None, headers=None):
-    request = make_request(
-        HttpMethod.POST,
-        f"{base_url}{path}",
-        headers=headers,
-        body=form_urlencode(pairs).encode(),
-        content_type="application/x-www-form-urlencoded",
-    )
-    if cookie:
-        set_header(request, "Cookie", cookie)
-    uri = request.uri
-    return parse_response(transport.exchange(uri.host, uri.port, serialize(request)))
+    request = client.build(HttpMethod.POST, f"{base_url}{path}", pairs, headers)
+    return _send(transport, request, cookie)
 
 
 def wire_get(transport, base_url, path, cookie=None, headers=None):
-    request = make_request(HttpMethod.GET, f"{base_url}{path}", headers=headers)
+    request = client.build(HttpMethod.GET, f"{base_url}{path}", headers=headers)
+    return _send(transport, request, cookie)
+
+
+def _send(transport, request, cookie):
     if cookie:
         set_header(request, "Cookie", cookie)
-    uri = request.uri
-    return parse_response(transport.exchange(uri.host, uri.port, serialize(request)))
+    return client.execute(request, transport)
 
 
 def wire_login(transport, base_url, username="sohini", password="pw"):

@@ -14,6 +14,7 @@ from csrflab.httpcore import (
     IllegalHeader,
     get_header,
     serialize,
+    set_header,
 )
 from csrflab.transport import TcpTransport, read_http_message
 
@@ -28,15 +29,15 @@ def test_build_post_encodes_pairs():
     forged = client.build(
         HttpMethod.POST, "http://127.0.0.1:8080/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
-    assert forged.inner.body == b"recip=user1&title=WebViewAttackTitle&message=HttpAttackMessage"
-    assert get_header(forged.inner, "Content-Type") == "application/x-www-form-urlencoded"
-    assert get_header(forged.inner, "Content-Length") == "62"
+    assert forged.body == b"recip=user1&title=WebViewAttackTitle&message=HttpAttackMessage"
+    assert get_header(forged, "Content-Type") == "application/x-www-form-urlencoded"
+    assert get_header(forged, "Content-Length") == "62"
 
 
 def test_build_get_without_body():
     forged = client.build(HttpMethod.GET, "http://127.0.0.1:8080/cgi-bin/Forum/index.php")
-    assert forged.inner.body == b""
-    assert get_header(forged.inner, "Content-Length") is None
+    assert forged.body == b""
+    assert get_header(forged, "Content-Length") is None
 
 
 def test_build_rejects_non_http():
@@ -46,16 +47,16 @@ def test_build_rejects_non_http():
 
 def test_set_cookie_header_overwrites():
     forged = client.build(HttpMethod.GET, "http://a/")
-    client.set_cookie_header(forged, "session_id=first")
-    client.set_cookie_header(forged, "session_id=second")
-    cookies = [h for h in forged.inner.headers if h.name.lower() == "cookie"]
+    set_header(forged, "Cookie", "session_id=first")
+    set_header(forged, "Cookie", "session_id=second")
+    cookies = [h for h in forged.headers if h.name.lower() == "cookie"]
     assert [(h.name, h.value) for h in cookies] == [("Cookie", "session_id=second")]
 
 
 def test_set_cookie_header_rejects_injection():
     forged = client.build(HttpMethod.GET, "http://a/")
     with pytest.raises(IllegalHeader):
-        client.set_cookie_header(forged, "session_id=x\r\nX-Smuggled: 1")
+        set_header(forged, "Cookie", "session_id=x\r\nX-Smuggled: 1")
 
 
 def test_forged_pm_with_stolen_cookie(lab_server):
@@ -65,7 +66,7 @@ def test_forged_pm_with_stolen_cookie(lab_server):
     forged = client.build(
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
-    client.set_cookie_header(forged, cookie)
+    set_header(forged, "Cookie", cookie)
     response = client.execute(forged)
     assert response.status == 302
     post = server.app.posts[0]
@@ -81,7 +82,7 @@ def test_forged_pm_bypasses_samesite(lab_server):
     forged = client.build(
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
-    client.set_cookie_header(forged, cookie)
+    set_header(forged, "Cookie", cookie)
     assert client.execute(forged).status == 302
     assert len(server.app.posts) == 1
 
@@ -115,12 +116,12 @@ def test_execute_sends_exactly_the_built_headers():
     thread.start()
     try:
         forged = client.build(HttpMethod.POST, f"http://127.0.0.1:{port}/x", [("a", "1")])
-        client.set_cookie_header(forged, "session_id=stolen")
+        set_header(forged, "Cookie", "session_id=stolen")
         client.execute(forged)
     finally:
         thread.join(timeout=5)
         listener.close()
-    assert captured["raw"] == serialize(forged.inner)
+    assert captured["raw"] == serialize(forged)
     header_block = captured["raw"].split(b"\r\n\r\n")[0].split(b"\r\n")[1:]
     assert header_block == [
         f"Host: 127.0.0.1:{port}".encode(),

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csrflab.config import ConfigError, build_config, parse_config_text
 from csrflab.forum import (
@@ -21,6 +22,8 @@ from csrflab.httpcore import (
     form_urlencode,
     get_header,
     make_request,
+    parse_response,
+    serialize,
     set_header,
 )
 
@@ -374,6 +377,72 @@ def test_handle_raw_maps_garbage_to_400():
 def test_handle_raw_rejects_non_ascii_digits_with_400(raw):
     out = _app().handle_raw(raw)
     assert out.startswith(b"HTTP/1.1 400 ")
+
+
+def _valid_raw_requests(app):
+    """One serialized request per route, authenticated where it matters."""
+    forum = "/cgi-bin/Forum"
+    cookie = _login(app)
+    app.handle_request(_request(f"{forum}/new_pm_form.php", cookie=cookie))
+    token = [("csrf_token", next(iter(app.sessions.values())).csrf_token or "")]
+    origin = [("Origin", "http://127.0.0.1:8080")]
+    post = token + ATTACK_PM_PAIRS
+    requests = [
+        _request(f"{forum}/register.php", HttpMethod.POST, [("username", "u2"), ("password", "p")]),
+        _request(f"{forum}/login.php", HttpMethod.POST, [("username", "sohini"), ("password", "pw")]),
+        _request(f"{forum}/login.php"),
+        _request(f"{forum}/index.php"),
+        _request(f"{forum}/new_pm_form.php", cookie=cookie),
+        _request(f"{forum}/new_pm.php", HttpMethod.POST, post, cookie, origin),
+        _request(f"{forum}/new_topic.php", HttpMethod.POST, post, cookie, origin),
+        _request("/admin/state", headers=[("Authorization", "Bearer lab-admin-token")]),
+    ]
+    return [serialize(request) for request in requests]
+
+
+_SPLICE = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.sampled_from(
+        [b"\r\n", b"\r\n\r\n", b":", b" ", b"0", b"99999999", b"-1", b"\xb2", b"\xff",
+         b"%", b"%zz", b"=", b"&", b";", b"\x00", b"\t", b"?", b"/", b"//"]
+    ),
+)
+_MUTATION = st.one_of(
+    st.tuples(st.just("replace"), st.integers(min_value=0), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(min_value=0), _SPLICE),
+    st.tuples(st.just("delete"), st.integers(min_value=0), st.integers(1, 16)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.none()),
+)
+
+
+def _mutate(raw, mutations):
+    buf = bytearray(raw)
+    for op, position, arg in mutations:
+        i = position % (len(buf) + 1)
+        if op == "replace":
+            buf[i:i + 1] = bytes([arg])
+        elif op == "insert":
+            buf[i:i] = arg
+        elif op == "delete":
+            del buf[i:i + arg]
+        else:
+            del buf[i:]
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(DefenseMode)),
+    st.integers(min_value=0),
+    st.lists(_MUTATION, min_size=1, max_size=4),
+)
+def test_handle_raw_is_total_under_byte_mutations(policy, which, mutations):
+    # Whatever bytes arrive, the handler answers with a response the
+    # codec accepts; it never raises.
+    app = _app(policy)
+    valid = _valid_raw_requests(app)
+    raw = _mutate(valid[which % len(valid)], mutations)
+    parse_response(app.handle_raw(raw))
 
 
 def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatch):
