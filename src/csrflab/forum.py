@@ -24,6 +24,7 @@ import enum
 import hashlib
 import html
 import json
+import logging
 import os
 import tempfile
 import threading
@@ -44,6 +45,8 @@ from .httpcore import (
 )
 
 FORUM_ROOT = "/cgi-bin/Forum"
+
+_log = logging.getLogger(__name__)
 
 
 class DuplicateUser(Exception):
@@ -416,12 +419,20 @@ class ForumApp:
 
     def handle_raw(self, raw: bytes) -> bytes:
         """Byte-level contract shared by the TCP server and the
-        in-process transport: request bytes in, response bytes out."""
+        in-process transport: request bytes in, response bytes out.
+
+        Total: a handler error is logged and answered with a 500, so it
+        never reaches (and ends) a server worker."""
         try:
             request = parse_request(raw)
         except MalformedMessage as exc:
             return serialize(_text_response(400, f"malformed request: {exc}"))
-        return serialize(self.handle_request(request))
+        try:
+            response = self.handle_request(request)
+        except Exception:
+            _log.exception("error handling %s %s", request.method.value, request.uri.path)
+            response = _text_response(500, "internal server error")
+        return serialize(response)
 
     # --------------------------------------------------------- snapshot
 

@@ -294,8 +294,10 @@ def _parse_header_lines(lines: list[bytes]) -> list[Header]:
 
 def _is_digits(text: str) -> bool:
     """RFC 9112 DIGIT+, ASCII only: str.isdigit() alone also accepts the
-    Latin-1 superscripts, which int() then rejects."""
-    return text.isascii() and text.isdigit()
+    Latin-1 superscripts, which int() then rejects.  At most 18 digits:
+    int() refuses more than 4,300, and no length, port or status code
+    comes near 18."""
+    return len(text) <= 18 and text.isascii() and text.isdigit()
 
 
 def _check_body_length(headers: list[Header], body: bytes) -> None:

@@ -1,8 +1,17 @@
-"""Threaded loopback TCP server hosting a ForumApp."""
+"""Loopback TCP server hosting a ForumApp on a fixed pool of workers.
+
+WORKERS daemon threads block in accept() on one listening socket, and
+each serves the connection it accepts itself: one request read, one
+response written, then close (Connection: close).  No thread is started
+per connection, so at most WORKERS connections are served at once; the
+rest wait in the kernel's listen backlog (BACKLOG).  A peer that sends
+nothing holds its worker for IO_TIMEOUT.  stop() shuts the listening
+socket down, which wakes every blocked accept() at once.
+"""
 
 from __future__ import annotations
 
-import socketserver
+import socket
 import threading
 from pathlib import Path
 
@@ -10,23 +19,9 @@ from .config import LabConfig
 from .forum import ForumApp
 from .transport import read_http_message
 
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        self.request.settimeout(self.server.io_timeout)
-        try:
-            raw = read_http_message(self.request.recv)
-            if not raw:
-                return
-            self.request.sendall(self.server.app.handle_raw(raw))
-        except OSError:
-            # A peer that vanished mid-exchange is its own problem.
-            pass
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+WORKERS = 8
+BACKLOG = 64
+IO_TIMEOUT = 10.0
 
 
 class ForumServer:
@@ -41,15 +36,22 @@ class ForumServer:
     Assigning .app mounts another ForumApp on the same listening socket.
     Do it only between exchanges: a connection still in progress may be
     answered by either app.
+
+    stop() returns once the idle workers have exited; a worker still in
+    the middle of a connection finishes it (or times out) and then exits
+    on its own.
     """
 
     def __init__(self, config: LabConfig | None = None, app: ForumApp | None = None) -> None:
         self.config = config or LabConfig()
-        app = app or self._initial_app()
-        self._tcp = _TcpServer((self.config.bind, self.config.port), _ConnectionHandler)
-        self._tcp.io_timeout = 10.0
-        self.app = app
-        self._thread: threading.Thread | None = None
+        self.app = app or self._initial_app()
+        self._listener = socket.create_server(
+            (self.config.bind, self.config.port), backlog=BACKLOG
+        )
+        self._port = self._listener.getsockname()[1]
+        self._workers: list[threading.Thread] = []
+        self._busy: set[threading.Thread] = set()
+        self._stopping = False
         self._finished = False
 
     def _initial_app(self) -> ForumApp:
@@ -64,16 +66,8 @@ class ForumServer:
         )
 
     @property
-    def app(self) -> ForumApp:
-        return self._tcp.app
-
-    @app.setter
-    def app(self, app: ForumApp) -> None:
-        self._tcp.app = app
-
-    @property
     def port(self) -> int:
-        return self._tcp.server_address[1]
+        return self._port
 
     @property
     def host(self) -> str:
@@ -83,37 +77,68 @@ class ForumServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "ForumServer":
-        self._thread = threading.Thread(
-            # Tight poll: stop() waits up to one interval for the serving
-            # loop to notice shutdown, and the harness stops one server
-            # per TCP matrix, so the default 0.5 s would add up to 0.5 s
-            # to every matrix.
-            target=lambda: self._tcp.serve_forever(poll_interval=0.02),
-            name="csrf-lab-server",
-            daemon=True,
-        )
-        self._thread.start()
+        for _ in range(WORKERS):
+            worker = threading.Thread(target=self._serve, name="csrf-lab-server", daemon=True)
+            worker.start()
+            self._workers.append(worker)
         return self
 
+    def _serve(self) -> None:
+        """One worker: accept a connection, answer it, repeat until the
+        listening socket is shut down."""
+        me = threading.current_thread()
+        while not self._stopping:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self._busy.add(me)
+            try:
+                conn.settimeout(IO_TIMEOUT)
+                raw = read_http_message(conn.recv)
+                if raw:
+                    conn.sendall(self.app.handle_raw(raw))
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:
+                # A peer that vanished or went silent mid-exchange is its
+                # own problem.
+                pass
+            finally:
+                conn.close()
+                self._busy.discard(me)
+
     def serve_blocking(self) -> None:
-        """Foreground mode for the CLI; returns after shutdown()."""
+        """Foreground mode for the CLI: the pool plus one more worker
+        loop on the calling thread; stops the server on the way out, so
+        a KeyboardInterrupt leaves it stopped."""
         try:
-            self._tcp.serve_forever()
+            self.start()
+            self._serve()
         finally:
-            self._finish()
+            self.stop()
 
     def stop(self) -> None:
-        if self._thread is not None:
-            self._tcp.shutdown()
-            self._thread.join(timeout=5)
-            self._thread = None
+        """Safe to call twice, before start(), and on a pool whose start()
+        was interrupted part-way."""
+        self._stopping = True
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never listened, or already shut down and closed
+        for worker in self._workers:
+            # Idle workers exit at once; a busy one is left to finish its
+            # connection.  The joins are short because a worker whose
+            # accept() returned just before the shutdown turns busy a
+            # moment later.
+            while worker.is_alive() and worker not in self._busy:
+                worker.join(timeout=0.01)
         self._finish()
 
     def _finish(self) -> None:
         if self._finished:
             return
         self._finished = True
-        self._tcp.server_close()
+        self._listener.close()
         if self.config.snapshot:
             self.app.save_snapshot(self.config.snapshot)
 

@@ -58,28 +58,40 @@ class TcpTransport(Transport):
 
 _CONTENT_LENGTH = re.compile(rb"^content-length:[ \t]*(\d+)[ \t]*$", re.I | re.M)
 
+# Bounds the head and, separately, the body of one message.
+MAX_MESSAGE_PART = 1 << 20
+
 
 def read_http_message(recv) -> bytes:
     """Assemble one HTTP message from a recv(n) callable: everything up
     to the blank line, then exactly Content-Length more bytes.  Used by
-    the server side, where the client may keep its socket open."""
-    buf = b""
-    while b"\r\n\r\n" not in buf:
+    the server side, where the client may keep its socket open.
+
+    Neither the head nor the body is read past MAX_MESSAGE_PART bytes:
+    what comes back then is short or unterminated, and parse_request
+    rejects it."""
+    buf = bytearray()
+    head_end = -1
+    while head_end < 0:
+        if len(buf) > MAX_MESSAGE_PART:
+            return bytes(buf)
         chunk = recv(65536)
         if not chunk:
-            return buf
+            return bytes(buf)
+        searched = max(len(buf) - 3, 0)
         buf += chunk
-        if len(buf) > 1 << 20:
-            return buf
-    head, _, body = buf.partition(b"\r\n\r\n")
-    match = _CONTENT_LENGTH.search(head)
-    expected = int(match.group(1)) if match else 0
-    while len(body) < expected:
-        chunk = recv(65536)
+        head_end = buf.find(b"\r\n\r\n", searched)
+    match = _CONTENT_LENGTH.search(buf, 0, head_end)
+    declared = match.group(1) if match else b"0"
+    # Compare lengths before int(): a 5,000-digit value would raise.
+    body_size = int(declared) if len(declared) <= 7 else MAX_MESSAGE_PART
+    wanted = head_end + 4 + min(body_size, MAX_MESSAGE_PART)
+    while len(buf) < wanted:
+        chunk = recv(min(65536, wanted - len(buf)))
         if not chunk:
             break
-        body += chunk
-    return head + b"\r\n\r\n" + body
+        buf += chunk
+    return bytes(buf)
 
 
 class InProcessTransport(Transport):

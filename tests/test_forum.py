@@ -379,6 +379,23 @@ def test_handle_raw_rejects_non_ascii_digits_with_400(raw):
     assert out.startswith(b"HTTP/1.1 400 ")
 
 
+def test_handler_error_becomes_500(monkeypatch, caplog):
+    app = _app()
+
+    def broken():
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(app, "index_page", broken)
+    raw = serialize(_request("/cgi-bin/Forum/index.php"))
+    with caplog.at_level("ERROR", logger="csrflab.forum"):
+        response = parse_response(app.handle_raw(raw))
+    assert response.status == 500
+    assert b"injected" not in response.body
+    assert "RuntimeError: injected" in caplog.text
+    # The lock was released: the next request is served.
+    assert parse_response(app.handle_raw(serialize(_request("/cgi-bin/Forum/login.php")))).status == 200
+
+
 def _valid_raw_requests(app):
     """One serialized request per route, authenticated where it matters."""
     forum = "/cgi-bin/Forum"

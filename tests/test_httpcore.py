@@ -72,6 +72,14 @@ def test_parse_request_post_with_body_and_query():
         b"POST /x HTTP/1.1\r\nHost: a\r\nContent-Length: \xb95\r\n\r\nabcde",
         b"GET /x HTTP/1.1\r\nHost: a\r\n",  # missing terminator
         b"GET /x HTTP/1.1\r\nHost: a\r\n\r\nstray-body",
+        # Over 4,300 digits int() raises ValueError, not MalformedMessage.
+        pytest.param(
+            b"GET /x HTTP/1.1\r\nHost: a:" + b"8" * 5000 + b"\r\n\r\n", id="port-5000-digits"
+        ),
+        pytest.param(
+            b"POST /x HTTP/1.1\r\nHost: a\r\nContent-Length: " + b"5" * 5000 + b"\r\n\r\nabcde",
+            id="content-length-5000-digits",
+        ),
     ],
 )
 def test_parse_request_rejects(raw):
@@ -118,6 +126,7 @@ def test_parse_response_302_needs_location():
         b"HTTP/1.1 abc OK\r\n\r\n",
         b"HTTP/1.1 2\xb20 OK\r\n\r\n",  # superscript two
         b"HTTP/1.1 200\r\n\r\n",
+        pytest.param(b"HTTP/1.1 " + b"2" * 5000 + b" OK\r\n\r\n", id="status-5000-digits"),
     ],
 )
 def test_parse_response_rejects(raw):

@@ -2,14 +2,24 @@
 
 import json
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from conftest import seed_users, wire_get, wire_login, wire_post
+from csrflab.config import LabConfig
 from csrflab.forum import DefenseMode, ForumApp
-from csrflab.httpcore import HttpMethod, get_header, make_request, serialize
-from csrflab.transport import ConnectionFailed, InProcessTransport, TcpTransport
+from csrflab.httpcore import HttpMethod, get_header, make_request, parse_response, serialize
+from csrflab.server import WORKERS, ForumServer
+from csrflab.transport import (
+    MAX_MESSAGE_PART,
+    ConnectionFailed,
+    InProcessTransport,
+    TcpTransport,
+    read_http_message,
+)
 
 
 def test_register_login_post_over_tcp(lab_server, transport):
@@ -189,3 +199,195 @@ def test_snapshot_resumes_at_startup(lab_server, tmp_path, transport):
     fresh = lab_server(seed=7)
     seed_users(fresh)
     assert wire_login(transport, fresh.base_url()) == cookie_before
+
+
+# ------------------------------------------------------------ worker pool
+
+
+def _pool_threads():
+    return {t for t in threading.enumerate() if t.name == "csrf-lab-server"}
+
+
+def test_pool_serves_more_connections_than_workers_on_a_fixed_set_of_threads(
+    lab_server, transport
+):
+    before = set(threading.enumerate())
+    server = lab_server()
+    seed_users(server)
+    for _ in range(50):
+        assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/index.php").status == 200
+
+    cookie = wire_login(transport, server.base_url())
+    statuses, seen = [], []
+    gate = threading.Barrier(12)
+
+    def post(n):
+        gate.wait(timeout=5)
+        response = wire_post(
+            transport,
+            server.base_url(),
+            "/cgi-bin/Forum/new_topic.php",
+            [("title", f"t{n}"), ("message", "m")],
+            cookie=cookie,
+        )
+        statuses.append(response.status)
+        seen.append(set(threading.enumerate()))
+
+    clients = [threading.Thread(target=post, args=(n,)) for n in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert statuses == [302] * 12
+    assert sorted(post.title for post in server.app.posts) == sorted(f"t{n}" for n in range(12))
+    assert len({post.seq for post in server.app.posts}) == 12
+    # Every thread the server ran while serving is one of its workers.
+    server_threads = set().union(*seen) - before - set(clients)
+    assert {t.name for t in server_threads} == {"csrf-lab-server"}
+    assert len(server_threads) <= WORKERS
+    assert len(_pool_threads() - before) <= WORKERS
+
+
+def test_stop_right_after_start_and_twice():
+    before = _pool_threads()
+    server = ForumServer(LabConfig(port=0)).start()
+    server.stop()
+    server.stop()
+    assert _pool_threads() - before == set()
+
+
+def test_stop_before_start():
+    ForumServer(LabConfig(port=0)).stop()
+
+
+def test_stop_ends_idle_workers_and_frees_the_port(transport):
+    before = _pool_threads()
+    server = ForumServer(LabConfig(port=0)).start()
+    assert len(_pool_threads() - before) == WORKERS
+    assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/index.php").status == 200
+    server.stop()
+    assert _pool_threads() - before == set()
+    again = ForumServer(LabConfig(port=server.port)).start()
+    try:
+        assert wire_get(transport, again.base_url(), "/cgi-bin/Forum/index.php").status == 200
+    finally:
+        again.stop()
+
+
+def test_stop_does_not_wait_for_a_silent_peer(transport):
+    before = _pool_threads()
+    server = ForumServer(LabConfig(port=0)).start()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as silent:
+        silent.sendall(b"GET /cgi-bin/Forum/index.php HTTP/1.1\r\n")
+        # Another worker still answers while one waits on the silent peer.
+        assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/index.php").status == 200
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 1.0
+    # The peer is gone, so the worker it held exits too.
+    deadline = time.monotonic() + 5
+    while _pool_threads() - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _pool_threads() - before == set()
+
+
+def test_handler_error_answers_500_and_keeps_every_worker(lab_server, transport, monkeypatch):
+    server = lab_server()
+
+    def broken():
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(server.app, "index_page", broken)
+    for _ in range(WORKERS + 1):
+        assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/index.php").status == 500
+    for _ in range(WORKERS + 1):
+        assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/login.php").status == 200
+
+
+# ---------------------------------------------------------- message bounds
+
+
+def _feeder(data: bytes, step: int):
+    """A recv(n) over data, at most step bytes per call; counts what it
+    hands out."""
+    state = {"given": 0}
+
+    def recv(n):
+        chunk = data[state["given"] : state["given"] + min(n, step)]
+        state["given"] += len(chunk)
+        return chunk
+
+    return recv, state
+
+
+def test_read_http_message_finds_a_head_split_anywhere():
+    raw = serialize(
+        make_request(
+            HttpMethod.POST,
+            "http://127.0.0.1:8080/cgi-bin/Forum/login.php",
+            body=b"username=sohini&password=pw",
+            content_type="application/x-www-form-urlencoded",
+        )
+    )
+    for step in (1, 2, 3, 5, 64):
+        recv, _ = _feeder(raw, step)
+        assert read_http_message(recv) == raw
+    # Once the head is in, no byte past Content-Length is read.
+    recv, state = _feeder(raw + b"next message", 1)
+    assert read_http_message(recv) == raw
+    assert state["given"] == len(raw)
+
+
+@pytest.mark.parametrize("declared", [b"1000000000000", b"9" * 5000], ids=["13-digits", "5000-digits"])
+def test_read_http_message_stops_at_the_body_cap(declared):
+    # int() refuses more than 4,300 digits, so the second one must not
+    # reach it.
+    head = b"POST /cgi-bin/Forum/login.php HTTP/1.1\r\nHost: h\r\nContent-Length: " + declared + b"\r\n\r\n"
+    recv, state = _feeder(head + b"a" * (3 * MAX_MESSAGE_PART), 65536)
+    raw = read_http_message(recv)
+    assert state["given"] <= len(head) + MAX_MESSAGE_PART
+    assert len(raw) == len(head) + MAX_MESSAGE_PART
+    assert ForumApp().handle_raw(raw).startswith(b"HTTP/1.1 400 ")
+
+
+def test_oversized_body_gets_400_over_tcp(lab_server):
+    server = lab_server()
+    head = (
+        f"POST /cgi-bin/Forum/login.php HTTP/1.1\r\nHost: 127.0.0.1:{server.port}\r\n"
+        f"Content-Length: {50 * MAX_MESSAGE_PART}\r\n\r\n"
+    ).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        # Exactly the cap, write side left open: the server must answer
+        # without waiting for the declared rest.
+        sock.sendall(head + b"a" * MAX_MESSAGE_PART)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    response = parse_response(data)
+    assert response.status == 400
+    assert b"Content-Length" in response.body
+
+
+def test_48k_form_body_round_trips(lab_server, transport):
+    server = lab_server()
+    seed_users(server)
+    cookie = wire_login(transport, server.base_url())
+    message = "x" * (48 * 1024)
+    response = wire_post(
+        transport,
+        server.base_url(),
+        "/cgi-bin/Forum/new_topic.php",
+        [("title", "big"), ("message", message)],
+        cookie=cookie,
+    )
+    assert response.status == 302
+    assert server.app.posts[-1].message == message
