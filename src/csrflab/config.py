@@ -15,7 +15,7 @@ Command-line flags override file values, which override the defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .forum import DefenseMode
 
@@ -34,7 +34,7 @@ class LabConfig:
     snapshot: str | None = None
 
 
-_KEYS = ("bind", "port", "policy", "seed", "admin_token", "snapshot")
+_KEYS = tuple(f.name for f in fields(LabConfig))
 
 
 def parse_config_text(text: str) -> dict:

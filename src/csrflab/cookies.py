@@ -7,14 +7,17 @@ and ``; SameSite=Strict`` (attribute names matched case-insensitively);
 anything else in a header makes that one header malformed, and it is
 skipped and logged while the rest of the response is honored.
 
-Two lookup paths exist on purpose.  ``get_cookie`` answers the hosting
-application's direct query and ignores SameSite entirely: the application
-owns the store, so browser-side policy cannot protect the cookie from it.
-``cookies_for_request`` is the browser-side attachment decision and is
-where SameSite=Strict bites: a Strict cookie is withheld whenever the
-request has an initiator document whose origin differs from the target.
-Requests without an initiator (API-initiated loads) attach Strict cookies,
-the way a typed address-bar navigation would.
+One scoping rule serves two lookups.  A cookie is in scope for a URL
+when its domain is the URL's host and its path is a prefix of the URL's
+path; in-scope cookies join as ``name=value; name2=value2`` in storage
+order.  ``get_cookie`` answers the hosting application's direct query
+and ignores SameSite entirely: the application owns the store, so
+browser-side policy cannot protect the cookie from it.
+``cookies_for_request(store, uri, initiator)`` is the browser-side
+attachment decision and is where SameSite=Strict bites: a Strict cookie
+is withheld whenever the initiating document's origin is not same-site
+with the target's.  Requests without an initiator (API-initiated loads)
+attach Strict cookies, the way a typed address-bar navigation would.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import enum
 import logging
 from dataclasses import dataclass, field
 
-from .httpcore import BadUrl, HttpResponse, RequestUri, get_header_values, parse_url
+from .httpcore import BadUrl, HttpResponse, RequestUri, authority, get_header_values, parse_url
 
 logger = logging.getLogger(__name__)
 
@@ -68,9 +71,7 @@ class Origin:
     def serialize(self) -> str:
         if self.opaque:
             return "null"
-        if self.port == 80:
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
+        return f"{self.scheme}://{authority(self.host, self.port)}"
 
     def same_site_with(self, other: "Origin") -> bool:
         if self.opaque or other.opaque:
@@ -80,15 +81,6 @@ class Origin:
             other.host,
             other.port,
         )
-
-
-@dataclass(frozen=True)
-class RequestContext:
-    """Who is asking: the initiating document's origin (None for
-    API-initiated loads) and the origin being requested."""
-
-    target_origin: Origin
-    initiator_origin: Origin | None = None
 
 
 def _check_cookie_name(name: str) -> None:
@@ -183,45 +175,39 @@ def store_from_response(
     return store
 
 
-def _matches(cookie: Cookie, host: str, path: str) -> bool:
-    return cookie.domain == host.lower() and path.startswith(cookie.path)
+def _scoped(store: CookieStore, uri: RequestUri, withhold_strict: bool) -> str | None:
+    """The cookies scoped to uri's host and path, joined in storage
+    order; None when there are none."""
+    host = uri.host.lower()
+    pairs = [
+        f"{c.name}={c.value}"
+        for c in store.entries
+        if c.domain == host
+        and uri.path.startswith(c.path)
+        and not (withhold_strict and c.same_site is SameSite.STRICT)
+    ]
+    return "; ".join(pairs) or None
 
 
 def get_cookie(store: CookieStore, url: str) -> str | None:
     """The hosting application's raw query: every cookie scoped to the
-    url's host and path, joined "name=value; name2=value2" in storage
-    order.  SameSite is deliberately not consulted.
-    """
+    url.  SameSite is deliberately not consulted."""
     uri = parse_url(url)
     if uri.scheme != "http":
         raise BadUrl(f"cookies are scoped to http URLs, got {url!r}")
-    pairs = [
-        f"{c.name}={c.value}" for c in store.entries if _matches(c, uri.host, uri.path)
-    ]
-    if not pairs:
-        return None
-    return "; ".join(pairs)
+    return _scoped(store, uri, withhold_strict=False)
 
 
 def cookies_for_request(
-    store: CookieStore, ctx: RequestContext, path: str
+    store: CookieStore, uri: RequestUri, initiator: Origin | None
 ) -> str | None:
     """Browser-side attachment: like get_cookie, but Strict cookies are
-    withheld when the initiating document's origin is present and not
-    same-site with the target."""
-    cross_site = ctx.initiator_origin is not None and not ctx.initiator_origin.same_site_with(
-        ctx.target_origin
+    withheld when the initiating document's origin (None for an
+    API-initiated load) is present and not same-site with uri's."""
+    cross_site = initiator is not None and not initiator.same_site_with(
+        Origin.from_uri(uri)
     )
-    pairs = []
-    for cookie in store.entries:
-        if not _matches(cookie, ctx.target_origin.host, path):
-            continue
-        if cross_site and cookie.same_site is SameSite.STRICT:
-            continue
-        pairs.append(f"{cookie.name}={cookie.value}")
-    if not pairs:
-        return None
-    return "; ".join(pairs)
+    return _scoped(store, uri, withhold_strict=cross_site)
 
 
 def clear(store: CookieStore) -> CookieStore:

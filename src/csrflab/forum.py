@@ -74,11 +74,6 @@ class PostKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Allow:
-    pass
-
-
-@dataclass(frozen=True)
 class Deny:
     reason: str
 
@@ -222,12 +217,13 @@ class ForumApp:
         session: SessionRecord,
         request: HttpRequest,
         body_pairs: list[tuple[str, str]],
-    ) -> Allow | Deny:
+    ) -> Deny | None:
+        """Deny with a reason, or None when the policy lets the post through."""
         if self.policy is DefenseMode.CSRF_TOKEN:
             supplied = dict(body_pairs).get("csrf_token")
             if session.csrf_token is None or supplied != session.csrf_token:
                 return Deny("missing_or_bad_token")
-            return Allow()
+            return None
         if self.policy is DefenseMode.ORIGIN_CHECK:
             origin = get_header(request, "Origin")
             if origin is None:
@@ -240,10 +236,10 @@ class ForumApp:
                     return Deny("bad_origin")
             if origin.strip().lower() != self._own_origin(request):
                 return Deny("bad_origin")
-            return Allow()
+            return None
         # none and samesite_strict add no server-side check; the latter
         # relies entirely on the cookie attribute set at login.
-        return Allow()
+        return None
 
     # ------------------------------------------------------------ pages
 
@@ -308,28 +304,27 @@ class ForumApp:
         except (MalformedEncoding, UnicodeDecodeError):
             return None
 
-    def _handle_register(self, request: HttpRequest) -> HttpResponse:
+    def _with_credentials(self, request: HttpRequest, handler) -> HttpResponse:
+        """handler(username, password) from the body, or the 400 for a
+        body that does not carry both."""
         pairs = self._parse_body(request)
         if pairs is None:
             return _text_response(400, "malformed body")
         fields = dict(pairs)
         if "username" not in fields or "password" not in fields:
             return _text_response(400, "username and password required")
+        return handler(fields["username"], fields["password"])
+
+    def _handle_register(self, username: str, password: str) -> HttpResponse:
         try:
-            self.register(fields["username"], fields["password"])
+            self.register(username, password)
         except (BadUsername, DuplicateUser) as exc:
             return _text_response(400, f"{type(exc).__name__}: {exc}")
         return make_response(302, headers=[("Location", f"{FORUM_ROOT}/login.php")])
 
-    def _handle_login(self, request: HttpRequest) -> HttpResponse:
-        pairs = self._parse_body(request)
-        if pairs is None:
-            return _text_response(400, "malformed body")
-        fields = dict(pairs)
-        if "username" not in fields or "password" not in fields:
-            return _text_response(400, "username and password required")
-        user = self.users.get(fields["username"])
-        if user is None or _digest(user.salt, fields["password"]) != user.password_digest:
+    def _handle_login(self, username: str, password: str) -> HttpResponse:
+        user = self.users.get(username)
+        if user is None or _digest(user.salt, password) != user.password_digest:
             return _text_response(401, "bad credentials")
         session = self._open_session(user.username)
         cookie = f"session_id={session.session_id}; Path=/"
@@ -347,9 +342,9 @@ class ForumApp:
         pairs = self._parse_body(request)
         if pairs is None:
             return _text_response(400, "malformed body")
-        verdict = self.check_defenses(session, request, pairs)
-        if isinstance(verdict, Deny):
-            return _text_response(403, verdict.reason)
+        denied = self.check_defenses(session, request, pairs)
+        if denied is not None:
+            return _text_response(403, denied.reason)
         fields = dict(pairs)
         needed = ["title", "message"] + (["recip"] if kind is PostKind.PRIVATE_MESSAGE else [])
         missing = [n for n in needed if n not in fields]
@@ -393,9 +388,9 @@ class ForumApp:
     def _route(self, request: HttpRequest) -> HttpResponse:
         key = (request.method, request.uri.path)
         if key == (HttpMethod.POST, f"{FORUM_ROOT}/register.php"):
-            return self._handle_register(request)
+            return self._with_credentials(request, self._handle_register)
         if key == (HttpMethod.POST, f"{FORUM_ROOT}/login.php"):
-            return self._handle_login(request)
+            return self._with_credentials(request, self._handle_login)
         if key == (HttpMethod.GET, f"{FORUM_ROOT}/login.php"):
             return _html_response(self.login_page(self._own_origin(request)))
         if key == (HttpMethod.GET, f"{FORUM_ROOT}/index.php"):

@@ -264,13 +264,10 @@ def _forged_client(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[
 
 
 def _navigation_status(result) -> tuple[int, str]:
-    status = result.final_status()
-    if status is None:
+    deepest = result.deepest()
+    if deepest.status is None:
         raise ScenarioSetupFailed("the attack never produced a network response")
-    deepest = result
-    while deepest.submission is not None:
-        deepest = deepest.submission
-    return status, _body_excerpt(deepest.response)
+    return deepest.status, _body_excerpt(deepest.response)
 
 
 def _body_excerpt(response) -> str:

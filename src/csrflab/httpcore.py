@@ -70,6 +70,12 @@ _CRLF = b"\r\n"
 _HEAD_END = b"\r\n\r\n"
 
 
+def authority(host: str, port: int) -> str:
+    """host[:port], omitting the default port 80: the Host header value
+    and, after "scheme://", every serialized origin."""
+    return host if port == 80 else f"{host}:{port}"
+
+
 @dataclass(frozen=True)
 class RequestUri:
     """Parsed request target: scheme, host, optional port, path, query.
@@ -86,15 +92,7 @@ class RequestUri:
 
     def origin_text(self) -> str:
         """scheme://host[:port], omitting the default port 80."""
-        if self.port == 80:
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
-
-    def url_text(self) -> str:
-        suffix = "" if self.query is None else f"?{self.query}"
-        if self.scheme == "http":
-            return f"{self.origin_text()}{self.path}{suffix}"
-        return f"{self.scheme}://{self.path}{suffix}"
+        return f"{self.scheme}://{authority(self.host, self.port)}"
 
     def target(self) -> str:
         """Origin-form request target as written on the request line."""
@@ -105,13 +103,21 @@ class RequestUri:
 def parse_url(text: str) -> RequestUri:
     """Parse an absolute URL of scheme http, file, asset, or data.
 
-    Raises BadUrl for anything else (including http URLs without a host).
+    Raises BadUrl for anything else, including http URLs without a host
+    or with an IPv6 literal one (the lab is IPv4-only).
     """
-    parts = urlsplit(text)
+    try:
+        parts = urlsplit(text)
+    except ValueError as exc:  # an unbalanced "[" around the host
+        raise BadUrl(f"bad host in {text!r}") from exc
     scheme = parts.scheme.lower()
     if scheme == "http":
         if not parts.hostname:
             raise BadUrl(f"http URL without host: {text!r}")
+        if ":" in parts.hostname:
+            # An IPv6 literal: the lab is IPv4-only, and a bare "::1"
+            # in the Host header would not parse back.
+            raise BadUrl(f"IPv6 hosts are not supported: {text!r}")
         try:
             port = parts.port or 80
         except ValueError as exc:
@@ -194,8 +200,12 @@ def get_header(message: Message, name: str) -> str | None:
 
 def get_header_values(message: Message, name: str) -> list[str]:
     """All values for a name, in stored order (Set-Cookie may repeat)."""
+    return _header_values(message.headers, name)
+
+
+def _header_values(headers: list[Header], name: str) -> list[str]:
     lname = name.lower()
-    return [h.value for h in message.headers if h.name.lower() == lname]
+    return [h.value for h in headers if h.name.lower() == lname]
 
 
 def set_header(message: Message, name: str, value: str) -> Message:
@@ -214,12 +224,6 @@ def set_header(message: Message, name: str, value: str) -> Message:
     return message
 
 
-def _host_header_value(uri: RequestUri) -> str:
-    if uri.port == 80:
-        return uri.host
-    return f"{uri.host}:{uri.port}"
-
-
 def make_request(
     method: HttpMethod,
     url: str,
@@ -236,7 +240,7 @@ def make_request(
     if uri.scheme != "http":
         raise BadUrl(f"requests need an http URL, got {url!r}")
     request = HttpRequest(method=method, uri=uri)
-    request.headers.append(Header("Host", _host_header_value(uri)))
+    request.headers.append(Header("Host", authority(uri.host, uri.port)))
     for name, value in headers or []:
         set_header(request, name, value)
     if content_type is not None and get_header(request, "Content-Type") is None:
@@ -301,7 +305,7 @@ def _is_digits(text: str) -> bool:
 
 
 def _check_body_length(headers: list[Header], body: bytes) -> None:
-    declared = [h.value for h in headers if h.name.lower() == "content-length"]
+    declared = _header_values(headers, "Content-Length")
     if len(declared) > 1:
         raise MalformedMessage("multiple Content-Length headers")
     if not declared:
@@ -344,7 +348,7 @@ def parse_request(raw: bytes) -> HttpRequest:
     query = query_text if sep else None
 
     headers = _parse_header_lines(lines[1:])
-    hosts = [h.value for h in headers if h.name.lower() == "host"]
+    hosts = _header_values(headers, "Host")
     if not hosts:
         raise MalformedMessage("missing Host header")
     if len(hosts) > 1:
@@ -386,8 +390,7 @@ def parse_response(raw: bytes) -> HttpResponse:
 
     headers = _parse_header_lines(lines[1:])
     if status == 302:
-        locations = [h for h in headers if h.name.lower() == "location"]
-        if len(locations) != 1:
+        if len(_header_values(headers, "Location")) != 1:
             raise MalformedMessage("302 must carry exactly one Location header")
     _check_body_length(headers, body)
     return HttpResponse(version=version, status=status, reason=reason, headers=headers, body=body)

@@ -4,15 +4,18 @@ WORKERS daemon threads block in accept() on one listening socket, and
 each serves the connection it accepts itself: one request read, one
 response written, then close (Connection: close).  No thread is started
 per connection, so at most WORKERS connections are served at once; the
-rest wait in the kernel's listen backlog (BACKLOG).  A peer that sends
-nothing holds its worker for IO_TIMEOUT.  stop() shuts the listening
-socket down, which wakes every blocked accept() at once.
+rest wait in the kernel's listen backlog (BACKLOG).  Each connection
+gets one IO_TIMEOUT deadline across all of its reads, so a peer that
+sends nothing, or trickles a byte at a time, holds its worker for at
+most IO_TIMEOUT.  stop() shuts the listening socket down, which wakes
+every blocked accept() at once.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 from pathlib import Path
 
 from .config import LabConfig
@@ -94,10 +97,12 @@ class ForumServer:
                 return
             self._busy.add(me)
             try:
-                conn.settimeout(IO_TIMEOUT)
-                raw = read_http_message(conn.recv)
+                raw = read_http_message(_recv_until(conn, time.monotonic() + IO_TIMEOUT))
                 if raw:
                     conn.sendall(self.app.handle_raw(raw))
+                # Idle before the peer can see EOF: what is left cannot
+                # block, so a stop() that follows the exchange joins it.
+                self._busy.discard(me)
                 conn.shutdown(socket.SHUT_WR)
             except OSError:
                 # A peer that vanished or went silent mid-exchange is its
@@ -147,3 +152,18 @@ class ForumServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+def _recv_until(conn: socket.socket, deadline: float):
+    """conn.recv under one monotonic deadline shared by every call, not a
+    fresh timeout per call; the sendall that follows inherits what is
+    left of it."""
+
+    def recv(size: int) -> bytes:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("connection deadline passed")
+        conn.settimeout(remaining)
+        return conn.recv(size)
+
+    return recv

@@ -22,16 +22,21 @@ document's origin, "null" when opaque) and attach cookies per that
 initiator, so SameSite=Strict withholds the session cookie cross-site.
 API-initiated requests carry no Origin header and attach cookies as if
 typed into an address bar, Strict ones included; redirect hops reuse
-the initiator of the navigation that produced them.  Documents landed
-from local assets, from raw data, and from file paths all get opaque
-origins.
+the initiator of the navigation that produced them.
+
+Landing.  A network response, an asset:/// or file:/// read, and
+load_data's raw text all land the same way: the parsed document becomes
+the current page and, when it declares an auto-submit, submits at once.
+Documents landed from local assets, from raw data, and from file paths
+all get opaque origins.  LoadResult.deepest() is the last navigation of
+an auto-submit chain.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
-import enum
+import dataclasses
 import logging
 import re
 from dataclasses import dataclass, field
@@ -41,11 +46,12 @@ from urllib.parse import urljoin
 
 from . import client
 from . import cookies as cookiemod
-from .cookies import CookieStore, Origin, RequestContext
+from .cookies import CookieStore, Origin
 from .httpcore import (
     BadUrl,
     HttpMethod,
     HttpResponse,
+    RequestUri,
     form_urlencode,
     get_header,
     make_request,
@@ -99,15 +105,10 @@ class ReentrantLoad(Exception):
     """Load operation attempted from inside the navigation hook."""
 
 
-class FormMethod(str, enum.Enum):
-    GET = "get"
-    POST = "post"
-
-
 @dataclass(frozen=True)
 class HtmlForm:
     action: str
-    method: FormMethod = FormMethod.GET
+    method: HttpMethod = HttpMethod.GET
     id: str | None = None
     fields: tuple[tuple[str, str], ...] = ()
 
@@ -139,11 +140,16 @@ class LoadResult:
     overridden: bool = False
     submission: "LoadResult | None" = None
 
+    def deepest(self) -> "LoadResult":
+        """The last load of the auto-submit chain this one started."""
+        result = self
+        while result.submission is not None:
+            result = result.submission
+        return result
+
     def final_status(self) -> int | None:
         """Primary status of the deepest navigation this load caused."""
-        if self.submission is not None:
-            return self.submission.final_status()
-        return self.status
+        return self.deepest().status
 
 
 _GETELEM_SUBMIT = re.compile(
@@ -209,14 +215,14 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
         action = raw["action"]
         if action is None:
             continue
-        if url:
-            action = urljoin(url, action)
         try:
+            if url:
+                action = urljoin(url, action)
             if parse_url(action).scheme != "http":
                 continue
-        except BadUrl:
+        except (BadUrl, ValueError):  # urljoin: ValueError on an unbalanced "["
             continue
-        method = FormMethod.POST if raw["method"] == "post" else FormMethod.GET
+        method = HttpMethod.POST if raw["method"] == "post" else HttpMethod.GET
         forms.append(
             HtmlForm(action=action, method=method, id=raw["id"], fields=tuple(raw["fields"]))
         )
@@ -297,10 +303,7 @@ class WebViewInstance:
         if not self.internet_permitted:
             raise PermissionDenied(f"internet permission not granted; cannot load {url}")
         request = make_request(method, url, body=body, content_type=content_type)
-        ctx = RequestContext(
-            target_origin=Origin.from_uri(request.uri), initiator_origin=initiator
-        )
-        cookie = cookiemod.cookies_for_request(self.cookie_store, ctx, request.uri.path)
+        cookie = cookiemod.cookies_for_request(self.cookie_store, request.uri, initiator)
         if cookie is not None:
             set_header(request, "Cookie", cookie)
         if origin_header is not None:
@@ -347,13 +350,16 @@ class WebViewInstance:
 
         document = parse_html(
             response.body.decode("utf-8", errors="replace"),
-            origin=Origin.from_uri(parse_url(current_url)),
+            origin=Origin.from_uri(request.uri),
             url=current_url,
         )
+        return self._land(LoadResult(url=url, status=primary.status, response=primary), document)
+
+    def _land(self, result: LoadResult, document: DocumentContext) -> LoadResult:
+        """Make document the current page of result, then let it
+        auto-submit."""
         self.current_document = document
-        result = LoadResult(
-            url=url, status=primary.status, response=primary, document=document
-        )
+        result.document = document
         result.submission = self._maybe_auto_submit(document)
         return result
 
@@ -381,41 +387,26 @@ class WebViewInstance:
         self._guard_entry()
         uri = parse_url(url)
         if uri.scheme == "http":
-            return self._navigate(
-                HttpMethod.GET,
-                url,
-                b"",
-                None,
-                initiator=None,
-            )
-        if uri.scheme == "asset":
-            text = self._read_asset(uri.path)
-        elif uri.scheme == "file":
-            text = self._read_file(uri.path)
-        else:
+            return self._navigate(HttpMethod.GET, url, b"", None, initiator=None)
+        if uri.scheme not in ("asset", "file"):
             raise BadUrl(f"load_url supports http, file, and asset URLs, got {url!r}")
-        document = parse_html(text, origin=Origin.opaque_origin(), url=url)
-        self.current_document = document
-        result = LoadResult(url=url, document=document)
-        result.submission = self._maybe_auto_submit(document)
-        return result
+        document = parse_html(self._read_local(uri), origin=Origin.opaque_origin(), url=url)
+        return self._land(LoadResult(url=url), document)
 
-    def _read_asset(self, path: str) -> str:
-        if self.asset_root is None:
-            raise AssetNotFound("no asset root configured")
-        relative = path.lstrip("/")
-        if not relative:
-            raise AssetNotFound("empty asset path")
-        if any(part in ("..", "") for part in relative.split("/")):
-            raise AssetEscape(f"asset path {path!r} leaves the asset root")
-        target = Path(self.asset_root) / relative
-        if not target.is_file():
-            raise AssetNotFound(str(target))
-        return target.read_text(encoding="utf-8", errors="replace")
-
-    @staticmethod
-    def _read_file(path: str) -> str:
-        target = Path(path)
+    def _read_local(self, uri: RequestUri) -> str:
+        """The text of an asset:/// path under the asset root, or of a
+        file:/// path."""
+        if uri.scheme == "file":
+            target = Path(uri.path)
+        else:
+            if self.asset_root is None:
+                raise AssetNotFound("no asset root configured")
+            relative = uri.path.lstrip("/")
+            if not relative:
+                raise AssetNotFound("empty asset path")
+            if any(part in ("..", "") for part in relative.split("/")):
+                raise AssetEscape(f"asset path {uri.path!r} leaves the asset root")
+            target = Path(self.asset_root) / relative
         if not target.is_file():
             raise AssetNotFound(str(target))
         return target.read_text(encoding="utf-8", errors="replace")
@@ -437,10 +428,7 @@ class WebViewInstance:
         else:
             raise BadEncoding(f"encoding must be UTF-8 or base64, got {encoding!r}")
         document = parse_html(text, origin=Origin.opaque_origin(), url=None)
-        self.current_document = document
-        result = LoadResult(url=None, document=document)
-        result.submission = self._maybe_auto_submit(document)
-        return result
+        return self._land(LoadResult(url=None), document)
 
     def post_url(self, url: str, body: bytes) -> LoadResult:
         """POST raw body bytes to an http URL.  API-initiated: no Origin
@@ -463,24 +451,18 @@ class WebViewInstance:
         self._guard_entry()
         if parse_url(form.action).scheme != "http":
             raise BadUrl(f"form action must be an absolute http URL: {form.action!r}")
-        fields = list(form.fields)
-        if form.method is FormMethod.POST:
+        encoded = form_urlencode(list(form.fields))
+        if form.method is HttpMethod.POST:
             return self._navigate(
                 HttpMethod.POST,
                 form.action,
-                form_urlencode(fields).encode(),
+                encoded.encode(),
                 "application/x-www-form-urlencoded",
                 initiator=initiator,
             )
         base = form.action.split("?")[0]
-        target = f"{base}?{form_urlencode(fields)}" if fields else base
-        return self._navigate(
-            HttpMethod.GET,
-            target,
-            b"",
-            None,
-            initiator=initiator,
-        )
+        target = f"{base}?{encoded}" if encoded else base
+        return self._navigate(HttpMethod.GET, target, b"", None, initiator=initiator)
 
     def user_submit_form(
         self, form_selector: int | str, field_values: list[tuple[str, str]]
@@ -499,7 +481,5 @@ class WebViewInstance:
             if name not in names:
                 raise NoSuchField(f"form has no field named {name!r}")
             fields[names.index(name)] = (name, value)
-        filled = HtmlForm(
-            action=form.action, method=form.method, id=form.id, fields=tuple(fields)
-        )
+        filled = dataclasses.replace(form, fields=tuple(fields))
         return self.submit_form(filled, initiator=self.current_document.origin)

@@ -17,7 +17,6 @@ from csrflab.cookies import (
     Cookie,
     CookieStore,
     Origin,
-    RequestContext,
     SameSite,
     cookies_for_request,
     get_cookie,
@@ -27,6 +26,7 @@ from csrflab.harness import CookieCapture, ScenarioId, victim_login
 from csrflab.httpcore import (
     Header,
     HttpMethod,
+    RequestUri,
     form_urldecode,
     form_urlencode,
     make_request,
@@ -220,11 +220,11 @@ def test_criterion_5_cookie_scoping_properties(capsys):
                     assert path.startswith(cookie.path)
                     checked_leaks += 1
                 # Cross-site request: nothing Strict may appear.
-                ctx = RequestContext(
-                    target_origin=Origin(scheme="http", host=host, port=80),
-                    initiator_origin=Origin(scheme="http", host="evil.lab", port=80),
+                header = cookies_for_request(
+                    store,
+                    RequestUri(scheme="http", host=host, port=80, path=path),
+                    Origin(scheme="http", host="evil.lab", port=80),
                 )
-                header = cookies_for_request(store, ctx, path)
                 for part in (header or "").split("; ") if header else []:
                     assert by_name[part.split("=", 1)[0]].same_site is SameSite.NONE
                     checked_strict += 1

@@ -10,7 +10,6 @@ from csrflab.cookies import (
     CookieStore,
     MalformedSetCookie,
     Origin,
-    RequestContext,
     SameSite,
     clear,
     cookies_for_request,
@@ -18,7 +17,7 @@ from csrflab.cookies import (
     parse_set_cookie,
     store_from_response,
 )
-from csrflab.httpcore import BadUrl, make_response, parse_url
+from csrflab.httpcore import BadUrl, RequestUri, make_response, parse_url
 
 
 def _store_one(store, host, header_value):
@@ -155,15 +154,14 @@ def test_strict_attachment_enumeration():
         (EVIL, False),
     ]
     for initiator, expect in cases:
-        ctx = RequestContext(target_origin=FORUM, initiator_origin=initiator)
-        got = cookies_for_request(store, ctx, "/cgi-bin/Forum/new_pm.php")
+        uri = parse_url("http://forum.local:8080/cgi-bin/Forum/new_pm.php")
+        got = cookies_for_request(store, uri, initiator)
         assert (got == "s=1") is expect, initiator
 
 
 def test_lax_free_none_cookie_attaches_cross_site():
     store = _store_one(CookieStore(), "forum.local", "p=2; Path=/")
-    ctx = RequestContext(target_origin=FORUM, initiator_origin=OPAQUE)
-    assert cookies_for_request(store, ctx, "/") == "p=2"
+    assert cookies_for_request(store, parse_url("http://forum.local:8080/"), OPAQUE) == "p=2"
 
 
 def test_clear():
@@ -211,19 +209,18 @@ def test_no_cross_host_leakage(store, host, path):
 
 @given(_stores(), _hosts, _paths)
 def test_absent_initiator_equals_get_cookie(store, host, path):
-    ctx = RequestContext(target_origin=Origin.web("http", host, 80))
-    assert cookies_for_request(store, ctx, path) == get_cookie(
+    uri = RequestUri("http", host, 80, path)
+    assert cookies_for_request(store, uri, None) == get_cookie(
         store, f"http://{host}{path}"
     )
 
 
 @given(_stores(), _hosts, _paths, st.sampled_from([OPAQUE, EVIL, FORUM]))
 def test_strict_exclusion_soundness(store, host, path, initiator):
-    target = Origin.web("http", host, 80)
-    ctx = RequestContext(target_origin=target, initiator_origin=initiator)
-    if initiator.same_site_with(target):
+    uri = RequestUri("http", host, 80, path)
+    if initiator.same_site_with(Origin.from_uri(uri)):
         return
-    got = cookies_for_request(store, ctx, path) or ""
+    got = cookies_for_request(store, uri, initiator) or ""
     returned = {p.split("=")[0] for p in got.split("; ") if p}
     strict = {c.name for c in store.entries if c.same_site is SameSite.STRICT}
     assert returned.isdisjoint(strict)

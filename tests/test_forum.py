@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from csrflab.config import ConfigError, build_config, parse_config_text
 from csrflab.forum import (
-    Allow,
     BadUsername,
     CorruptSnapshot,
     DefenseMode,
@@ -112,6 +111,25 @@ def test_login_failures():
     assert resp.status == 400
 
 
+@pytest.mark.parametrize("route", ["register.php", "login.php"])
+@pytest.mark.parametrize(
+    "body, answer",
+    [
+        (b"username=sohini", b"username and password required"),
+        (b"password=pw", b"username and password required"),
+        (b"username=%ZZ&password=pw", b"malformed body"),
+        (b"username=\xff&password=pw", b"malformed body"),
+    ],
+)
+def test_register_and_login_answer_400_without_credentials(route, body, answer):
+    app = _app()
+    request = _request(f"/cgi-bin/Forum/{route}", HttpMethod.POST)
+    request.body = body
+    resp = app.handle_request(request)
+    assert (resp.status, resp.body) == (400, answer)
+    assert list(app.users) == ["sohini", "user1"] and app.sessions == {}
+
+
 # --------------------------------------------------------------- forms
 
 
@@ -154,7 +172,7 @@ def test_check_defenses_csrf_token():
     req = _request("/cgi-bin/Forum/new_pm.php", HttpMethod.POST, pairs=[], cookie=cookie)
     assert app.check_defenses(session, req, []) == Deny("missing_or_bad_token")
     session.csrf_token = "a" * 32
-    assert app.check_defenses(session, req, [("csrf_token", "a" * 32)]) == Allow()
+    assert app.check_defenses(session, req, [("csrf_token", "a" * 32)]) is None
     assert app.check_defenses(session, req, [("csrf_token", "b" * 32)]) == Deny(
         "missing_or_bad_token"
     )
@@ -172,8 +190,8 @@ def test_check_defenses_origin_rules():
     assert verdict(None) == Deny("bad_origin")
     assert verdict([("Origin", "null")]) == Deny("bad_origin")
     assert verdict([("Origin", "http://evil.local")]) == Deny("bad_origin")
-    assert verdict([("Origin", "http://127.0.0.1:8080")]) == Allow()
-    assert verdict([("Referer", "http://127.0.0.1:8080/cgi-bin/Forum/new_pm_form.php")]) == Allow()
+    assert verdict([("Origin", "http://127.0.0.1:8080")]) is None
+    assert verdict([("Referer", "http://127.0.0.1:8080/cgi-bin/Forum/new_pm_form.php")]) is None
     assert verdict([("Referer", "http://evil.local/x")]) == Deny("bad_origin")
     assert verdict([("Referer", "not a url")]) == Deny("bad_origin")
 

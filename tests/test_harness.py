@@ -1,5 +1,6 @@
 """Harness tests: victim login, outcome verification, and the matrix."""
 
+import hashlib
 import json
 import re
 
@@ -306,6 +307,29 @@ class TestMatrix:
         report = run_matrix()
         assert harness.compare_with_expected(report) == []
         assert len(starts) == 1
+
+    def test_wire_bytes_are_unchanged(self, monkeypatch):
+        # sha256 over every request and response of the in-process
+        # matrices for the two golden seeds, in exchange order.
+        wire = hashlib.sha256()
+        messages = 0
+        original = InProcessTransport.exchange
+
+        def recording_exchange(transport, host, port, raw):
+            nonlocal messages
+            response = original(transport, host, port, raw)
+            wire.update(raw)
+            wire.update(response)
+            messages += 2
+            return response
+
+        monkeypatch.setattr(InProcessTransport, "exchange", recording_exchange)
+        for seed in (1337, 7):
+            run_matrix(seed, in_process=True)
+        assert messages == 560
+        assert wire.hexdigest() == (
+            "95e4bbee7c8641529e279fcbf02109ac4419b7a1e1f20397b281b564ead972df"
+        )
 
     def test_cells_on_the_shared_server_start_from_empty_state(self):
         # Each cell mounts a fresh app: before its attack it sees only

@@ -310,7 +310,15 @@ def test_parse_url_local_schemes():
 
 @pytest.mark.parametrize(
     "url",
-    ["ftp://a/x", "http:///nohost", "http://a:notaport/", "", "not a url"],
+    [
+        "ftp://a/x",
+        "http:///nohost",
+        "http://a:notaport/",
+        "",
+        "not a url",
+        "http://[::1]:8080/",
+        "http://[::1/",
+    ],
 )
 def test_parse_url_rejects(url):
     with pytest.raises(BadUrl):

@@ -1,6 +1,7 @@
 """Wire-level server behavior: framing, concurrency, transports."""
 
 import json
+import select
 import socket
 import sys
 import threading
@@ -12,6 +13,7 @@ from conftest import seed_users, wire_get, wire_login, wire_post
 from csrflab.config import LabConfig
 from csrflab.forum import DefenseMode, ForumApp
 from csrflab.httpcore import HttpMethod, get_header, make_request, parse_response, serialize
+from csrflab import server as server_module
 from csrflab.server import WORKERS, ForumServer
 from csrflab.transport import (
     MAX_MESSAGE_PART,
@@ -295,6 +297,26 @@ def test_stop_does_not_wait_for_a_silent_peer(transport):
     while _pool_threads() - before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _pool_threads() - before == set()
+
+
+def test_trickling_peer_is_cut_off_at_the_connection_deadline(lab_server, monkeypatch):
+    # One byte every 50 ms never lets a single recv time out, so only a
+    # deadline across all of the connection's reads ends it.
+    monkeypatch.setattr(server_module, "IO_TIMEOUT", 0.3)
+    server = lab_server()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as peer:
+        peer.sendall(b"GET /cgi-bin/Forum/index.php HTTP/1.1\r\nX-Slow: ")
+        started = time.monotonic()
+        closed = False
+        while not closed and time.monotonic() - started < 3.0:
+            try:
+                peer.sendall(b"a")
+                if select.select([peer], [], [], 0.05)[0]:
+                    closed = peer.recv(1024) == b""
+            except OSError:
+                closed = True
+        assert closed
+        assert time.monotonic() - started < 2.0
 
 
 def test_handler_error_answers_500_and_keeps_every_worker(lab_server, transport, monkeypatch):

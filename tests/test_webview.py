@@ -15,13 +15,12 @@ from csrflab.fixtures import (
     attack_form_html,
 )
 from csrflab.forum import DefenseMode, PostKind
-from csrflab.httpcore import BadUrl, make_response, serialize
+from csrflab.httpcore import BadUrl, HttpMethod, make_response, serialize
 from csrflab.transport import InProcessTransport, TcpTransport, Transport
 from csrflab.webview import (
     AssetEscape,
     AssetNotFound,
     BadEncoding,
-    FormMethod,
     NoSuchField,
     NoSuchForm,
     PermissionDenied,
@@ -76,7 +75,7 @@ def test_parse_attack_page_conformance():
     form = doc.forms[0]
     assert form.id == "post-form"
     assert form.action == CANONICAL_ACTION
-    assert form.method is FormMethod.POST
+    assert form.method is HttpMethod.POST
     assert form.fields == (
         ("title", "WebView Attack from android"),
         ("recip", "sohini"),
@@ -155,6 +154,18 @@ def test_parse_drops_unusable_forms():
         origin=OPAQUE,
     )
     assert [f.id for f in doc.forms] == ["d"]
+
+
+def test_parse_drops_forms_whose_action_has_a_bad_host():
+    # Resolved against the page URL, as on every page landed from the network.
+    doc = parse_html(
+        '<form id="a" action="http://[::1/x"></form>'
+        '<form id="b" action="http://[::1]:8080/x"></form>'
+        '<form id="c" action="/ok"></form>',
+        origin=Origin.web("http", "forum.local", 8080),
+        url="http://forum.local:8080/page",
+    )
+    assert [f.id for f in doc.forms] == ["c"]
 
 
 @given(st.text(max_size=300))
