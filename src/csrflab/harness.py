@@ -2,13 +2,15 @@
 
 A run opens one Lab, and each cell mounts a fresh ForumApp (same seed)
 on it: on the run's one ForumServer over TCP, on an InProcessTransport
-in-process.  No state crosses cells.  A cell registers a scripted
-victim, logs it in through a fresh emulator with a cookie-capturing
-navigation hook installed, then fires one attack under one defense
-policy; every request goes out through client.execute.  Success is
-decided from server-state evidence (new posts attributed to the victim
-with the attack's title), never from the HTTP status alone; the status
-is recorded alongside for the grid.
+in-process.  The lab also owns the run's one asset directory, where
+open_lab writes the attack page that A1 loads.  No server or browser
+state crosses cells.  A cell registers a scripted victim, logs it in
+through a fresh emulator with a cookie-capturing navigation hook
+installed, then fires one attack under one defense policy; every
+request goes out through client.execute.  Success is decided from
+server-state evidence (new posts attributed to the victim with the
+attack's title), never from the HTTP status alone; the status is
+recorded alongside for the grid.
 
 SCENARIOS is the one table of the four scenarios; EXPECTED_GRID and
 matrix_cells() are derived from it, and the CLI exits nonzero when a
@@ -179,23 +181,32 @@ def verify_outcome(
 class Lab:
     """Where the cells of one run send their requests.  mount is the
     object whose .app each cell assigns: the ForumServer over TCP, the
-    InProcessTransport in-process."""
+    InProcessTransport in-process.  asset_root holds attack_form.html,
+    the packaged attack page that A1 loads."""
 
     transport: Transport
     base_url: str
     mount: ForumServer | InProcessTransport
+    asset_root: str
 
 
 @contextlib.contextmanager
 def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab]:
     """Over TCP, one ephemeral-port ForumServer for the whole run, stopped
-    on exit; in-process, dispatch straight into the mounted app."""
-    if in_process:
-        transport = InProcessTransport(None)
-        yield Lab(transport, "http://127.0.0.1:8080", transport)
-        return
-    with ForumServer(LabConfig(port=0, seed=seed)) as server:
-        yield Lab(TcpTransport(), server.base_url(), server)
+    on exit; in-process, dispatch straight into the mounted app.  Either
+    way the lab owns one temporary asset root, holding the attack page
+    aimed at base_url (which every cell shares), removed on exit."""
+    with contextlib.ExitStack() as stack:
+        asset_root = stack.enter_context(tempfile.TemporaryDirectory(prefix="csrf-lab-assets-"))
+        if in_process:
+            transport = mount = InProcessTransport(None)
+            base_url = "http://127.0.0.1:8080"
+        else:
+            mount = stack.enter_context(ForumServer(LabConfig(port=0, seed=seed)))
+            transport, base_url = TcpTransport(), mount.base_url()
+        with open(f"{asset_root}/attack_form.html", "w", encoding="utf-8") as fh:
+            fh.write(fixtures.attack_form_html(base_url))
+        yield Lab(transport, base_url, mount, asset_root)
 
 
 def _register_users(lab: Lab) -> None:
@@ -230,29 +241,25 @@ def _admin_state(lab: Lab, admin_token: str) -> dict:
 # short body excerpt for the notes.
 
 
-def _load_asset_page(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
-    page = fixtures.attack_form_html(lab.base_url)
-    with open(f"{asset_root}/attack_form.html", "w", encoding="utf-8") as fh:
-        fh.write(page)
-    result = view.load_url("asset:///attack_form.html")
-    return _navigation_status(result)
+def _load_asset_page(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
+    return _navigation_status(view.load_url("asset:///attack_form.html"))
 
 
-def _load_raw_data(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
+def _load_raw_data(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
     result = view.load_data(
         fixtures.attack_form_html(lab.base_url), "text/html; charset=utf-8", "UTF-8"
     )
     return _navigation_status(result)
 
 
-def _post_url(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
+def _post_url(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
     result = view.post_url(
         f"{lab.base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_BODY.encode()
     )
     return _navigation_status(result)
 
 
-def _forged_client(view, lab, stolen_cookie, spoof_origin, asset_root) -> tuple[int, str]:
+def _forged_client(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
     forged = client.build(
         HttpMethod.POST, f"{lab.base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_PAIRS
     )
@@ -394,25 +401,22 @@ def _run_cell(scenario, defense, spoof_origin, seed, install_hook, lab) -> Attac
     app = ForumApp(policy=defense, seed=seed)
     lab.mount.app = app
     spec = SCENARIOS[scenario]
-    with tempfile.TemporaryDirectory(prefix="csrf-lab-assets-") as asset_root:
-        _register_users(lab)
+    _register_users(lab)
 
-        view = WebViewInstance(transport=lab.transport, asset_root=asset_root)
-        if install_hook:
-            view.set_navigation_hook(CookieCapture(view))
-        try:
-            stolen_cookie = victim_login(view, lab.base_url, VICTIM, VICTIM_PASSWORD)
-        except Exception as exc:
-            raise ScenarioSetupFailed(f"victim login failed: {exc}") from exc
+    view = WebViewInstance(transport=lab.transport, asset_root=lab.asset_root)
+    if install_hook:
+        view.set_navigation_hook(CookieCapture(view))
+    try:
+        stolen_cookie = victim_login(view, lab.base_url, VICTIM, VICTIM_PASSWORD)
+    except Exception as exc:
+        raise ScenarioSetupFailed(f"victim login failed: {exc}") from exc
 
-        before = _admin_state(lab, app.admin_token)
-        try:
-            status, response_body = _attack(
-                scenario, view, lab, stolen_cookie, spoof_origin, asset_root
-            )
-        except Exception as exc:
-            raise ScenarioSetupFailed(f"attack step crashed: {exc}") from exc
-        after = _admin_state(lab, app.admin_token)
+    before = _admin_state(lab, app.admin_token)
+    try:
+        status, response_body = _attack(scenario, view, lab, stolen_cookie, spoof_origin)
+    except Exception as exc:
+        raise ScenarioSetupFailed(f"attack step crashed: {exc}") from exc
+    after = _admin_state(lab, app.admin_token)
 
     success, evidence = verify_outcome(before, after, VICTIM, spec.title)
     notes = spec.notes
@@ -433,11 +437,9 @@ def _run_cell(scenario, defense, spoof_origin, seed, install_hook, lab) -> Attac
     )
 
 
-def _attack(
-    scenario, view, lab, stolen_cookie, spoof_origin, asset_root
-) -> tuple[int, str]:
+def _attack(scenario, view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
     """The attack step of the scenario's row."""
-    return SCENARIOS[scenario].attack(view, lab, stolen_cookie, spoof_origin, asset_root)
+    return SCENARIOS[scenario].attack(view, lab, stolen_cookie, spoof_origin)
 
 
 # ----------------------------------------------------------------- matrix

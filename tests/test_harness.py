@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tempfile
 
 import pytest
 
@@ -330,6 +331,24 @@ class TestMatrix:
         assert wire.hexdigest() == (
             "95e4bbee7c8641529e279fcbf02109ac4419b7a1e1f20397b281b564ead972df"
         )
+
+    @pytest.mark.parametrize("in_process", [True, False])
+    def test_one_asset_directory_per_run(self, monkeypatch, tmp_path, in_process):
+        # The lab writes the attack page once; every cell's attack sees
+        # that one directory, and none is left after the run.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        seen = set()
+        original = harness._attack
+
+        def listing_attack(*args):
+            seen.update(path.name for path in tmp_path.glob("csrf-lab-assets-*"))
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_attack", listing_attack)
+        report = run_matrix(in_process=in_process)
+        assert harness.compare_with_expected(report) == []
+        assert len(seen) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_cells_on_the_shared_server_start_from_empty_state(self):
         # Each cell mounts a fresh app: before its attack it sees only

@@ -3,7 +3,7 @@
 from urllib.parse import quote_plus
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csrflab.httpcore import (
     BadUrl,
@@ -176,6 +176,74 @@ def test_header_name_validation():
         Header("a:b", "v")
 
 
+def _oracle_name_is_legal(name):
+    # The per-character rule the header regexes replaced.
+    if not name:
+        return False
+    for ch in name:
+        if not (33 <= ord(ch) <= 126) or ch == ":":
+            return False
+    return True
+
+
+def _oracle_value_is_legal(value):
+    for ch in value:
+        if ch in "\r\n" or ord(ch) > 255:
+            return False
+    return True
+
+
+# Half the draws use only octets the rule allows, half mix in CR, LF,
+# ":", space, DEL and code points above U+00FF.
+_header_mixed = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=33, max_codepoint=126),
+        st.sampled_from(["\r", "\n", ":", " ", "\t", "\x00", "\x7f", "\x80", "\xff"]),
+        st.sampled_from(["\u0100", "\u212a", "\ud800", "\U0010ffff"]),
+        st.characters(),
+    ),
+    max_size=8,
+)
+_header_name = st.one_of(
+    st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126), max_size=8),
+    _header_mixed,
+)
+_header_value = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=8),
+    _header_mixed,
+)
+
+
+def _assert_header_agrees_with_oracle(name, value):
+    if _oracle_name_is_legal(name) and _oracle_value_is_legal(value):
+        assert Header(name, value).value == value
+    else:
+        with pytest.raises(IllegalHeader):
+            Header(name, value)
+
+
+@settings(max_examples=300)
+@given(_header_name, _header_value)
+def test_header_checks_agree_with_the_per_character_rule(name, value):
+    _assert_header_agrees_with_oracle(name, value)
+
+
+def test_header_checks_agree_with_the_per_character_rule_on_each_character():
+    # Every Latin-1 character and a few past it, alone and inside text.
+    for ch in map(chr, [*range(0x200), 0x212A, 0xD800, 0x10FFFF]):
+        for name, value in ((ch, "v"), (f"X{ch}Y", "v"), ("X", ch), ("X", f"v{ch}w")):
+            _assert_header_agrees_with_oracle(name, value)
+
+
+def test_set_header_rejects_a_name_that_only_lowers_to_a_stored_one():
+    # The Kelvin sign lowers to "k" but is no legal header name.
+    req = HttpRequest(method=HttpMethod.GET, uri=RequestUri("http", "a"))
+    req.headers = [Header("Key", "old")]
+    with pytest.raises(IllegalHeader):
+        set_header(req, "\u212aey", "new")
+    assert req.headers == [Header("Key", "old")]
+
+
 def test_get_header_first_match_and_all_values():
     resp = make_response(200, headers=[("Set-Cookie", "a=1"), ("Set-Cookie", "b=2")])
     assert get_header(resp, "set-cookie") == "a=1"
@@ -323,6 +391,14 @@ def test_parse_url_local_schemes():
 def test_parse_url_rejects(url):
     with pytest.raises(BadUrl):
         parse_url(url)
+
+
+@pytest.mark.parametrize("url", ["ftp://a/x", "http://[::1/", "http://a:notaport/"])
+def test_parse_url_cache_keeps_no_failures(url):
+    # parse_url is memoised; a URL that raised must raise again.
+    for _ in range(2):
+        with pytest.raises(BadUrl):
+            parse_url(url)
 
 
 # ----------------------------------------------------------------- codec

@@ -266,6 +266,27 @@ def test_too_many_redirects():
         view.load_url("http://127.0.0.1:8080/loop")
 
 
+class _BracketRedirectApp:
+    def handle_raw(self, raw):
+        return serialize(make_response(302, headers=[("Location", "http://[::1/x")]))
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda view: view.load_url("http://127.0.0.1:8080/"),
+        lambda view: view.post_url("http://127.0.0.1:8080/", b""),
+    ],
+    ids=["load_url", "post_url"],
+)
+def test_redirect_to_an_unbalanced_bracket_is_a_bad_url(load):
+    # urljoin raises ValueError on the unbalanced "["; the emulator
+    # reports it as the BadUrl every other bad URL gives.
+    view = WebViewInstance(transport=InProcessTransport(_BracketRedirectApp()))
+    with pytest.raises(BadUrl):
+        load(view)
+
+
 # ------------------------------------------------------------ load_data
 
 
