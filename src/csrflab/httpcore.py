@@ -13,11 +13,9 @@ keep-alive, chunked encoding, or content negotiation.  Headers are an
 ordered list, matched case-insensitively but emitted with the stored
 spelling.  ``set_header`` overwrites the value of the first header with a
 matching name and appends otherwise; later duplicates are left alone.
-Every Header checks itself when built, one precompiled regex for the
-name and one for the value, so headers that callers build and headers
-that parse_request/parse_response read meet one rule (IllegalHeader;
-MalformedMessage out of parse_*).  parse_url keeps its last 256 results:
-an attack cell parses about 15 URLs, nearly all of them repeats.
+Every Header checks itself when built, by one precompiled regex for the
+name and one for the value: built and parsed headers meet one rule
+(IllegalHeader, or MalformedMessage out of parse_request/parse_response).
 
 Bodies are raw bytes end to end.  The form codec uses the
 x-www-form-urlencoded convention: letters, digits and ``*-._`` pass
@@ -29,7 +27,6 @@ so the codec is spelled out here.)
 from __future__ import annotations
 
 import enum
-import functools
 import re
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
@@ -107,13 +104,11 @@ class RequestUri:
         return f"{self.path}{suffix}"
 
 
-@functools.lru_cache(maxsize=256)
 def parse_url(text: str) -> RequestUri:
     """Parse an absolute URL of scheme http, file, asset, or data.
 
     Raises BadUrl for anything else, including http URLs without a host
-    or with an IPv6 literal one (the lab is IPv4-only).  Memoised: a
-    RequestUri is frozen, and a URL that raises is not cached.
+    or with an IPv6 literal one (the lab is IPv4-only).
     """
     try:
         parts = urlsplit(text)
@@ -389,8 +384,9 @@ def parse_response(raw: bytes) -> HttpResponse:
         raise MalformedMessage(f"status {status} outside the lab subset")
 
     headers = _parse_header_lines(lines[1:])
-    if status == 302 and len(_header_values(headers, "Location")) != 1:
-        raise MalformedMessage("302 must carry exactly one Location header")
+    if status == 302:
+        if len(_header_values(headers, "Location")) != 1:
+            raise MalformedMessage("302 must carry exactly one Location header")
     _check_body_length(headers, body)
     return HttpResponse(version=version, status=status, reason=reason, headers=headers, body=body)
 

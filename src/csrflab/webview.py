@@ -66,7 +66,6 @@ from .transport import TcpTransport, Transport
 logger = logging.getLogger(__name__)
 
 MAX_REDIRECTS = 5
-_FORM_TYPE = "application/x-www-form-urlencoded"
 _MAX_AUTO_SUBMITS = 5
 
 
@@ -199,14 +198,6 @@ class _FormScanner(HTMLParser):
             self._script_chunks.append(data)
 
 
-def _join(base: str, reference: str) -> str:
-    """urljoin, raising BadUrl where it raises ValueError (an unbalanced "[")."""
-    try:
-        return urljoin(base, reference)
-    except ValueError as exc:
-        raise BadUrl(f"cannot resolve {reference!r} against {base!r}") from exc
-
-
 def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentContext:
     """Total parse: any input yields a DocumentContext.
 
@@ -226,10 +217,10 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
             continue
         try:
             if url:
-                action = _join(url, action)
+                action = urljoin(url, action)
             if parse_url(action).scheme != "http":
                 continue
-        except BadUrl:
+        except (BadUrl, ValueError):  # urljoin: ValueError on an unbalanced "["
             continue
         method = HttpMethod.POST if raw["method"] == "post" else HttpMethod.GET
         forms.append(
@@ -346,7 +337,10 @@ class WebViewInstance:
             hops += 1
             if hops > MAX_REDIRECTS:
                 raise TooManyRedirects(f"gave up after {MAX_REDIRECTS} hops from {url}")
-            next_url = _join(current_url, get_header(response, "Location"))
+            try:
+                next_url = urljoin(current_url, get_header(response, "Location"))
+            except ValueError as exc:  # an unbalanced "[" in the Location
+                raise BadUrl(f"unresolvable redirect Location from {current_url}") from exc
             if self._consult_hook(next_url):
                 return LoadResult(
                     url=url, status=primary.status, response=primary, overridden=True
@@ -445,7 +439,13 @@ class WebViewInstance:
         self._guard_entry()
         if parse_url(url).scheme != "http":
             raise BadUrl(f"post_url needs an http URL, got {url!r}")
-        return self._navigate(HttpMethod.POST, url, bytes(body), _FORM_TYPE, initiator=None)
+        return self._navigate(
+            HttpMethod.POST,
+            url,
+            bytes(body),
+            "application/x-www-form-urlencoded",
+            initiator=None,
+        )
 
     def submit_form(self, form: HtmlForm, initiator: Origin) -> LoadResult:
         """Submit a form as a document with the given origin would: the
@@ -457,7 +457,11 @@ class WebViewInstance:
         encoded = form_urlencode(list(form.fields))
         if form.method is HttpMethod.POST:
             return self._navigate(
-                HttpMethod.POST, form.action, encoded.encode(), _FORM_TYPE, initiator=initiator
+                HttpMethod.POST,
+                form.action,
+                encoded.encode(),
+                "application/x-www-form-urlencoded",
+                initiator=initiator,
             )
         base = form.action.split("?")[0]
         target = f"{base}?{encoded}" if encoded else base

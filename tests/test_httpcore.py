@@ -393,14 +393,6 @@ def test_parse_url_rejects(url):
         parse_url(url)
 
 
-@pytest.mark.parametrize("url", ["ftp://a/x", "http://[::1/", "http://a:notaport/"])
-def test_parse_url_cache_keeps_no_failures(url):
-    # parse_url is memoised; a URL that raised must raise again.
-    for _ in range(2):
-        with pytest.raises(BadUrl):
-            parse_url(url)
-
-
 # ----------------------------------------------------------------- codec
 
 
