@@ -108,7 +108,8 @@ def _cmd_attack(args) -> int:
     scenario = ScenarioId(args.scenario)
     defense = DefenseMode(args.policy)
     try:
-        outcome = harness.run_scenario(scenario, defense, spoof_origin=args.spoof_origin)
+        with harness.open_lab() as lab:
+            outcome = harness.run_scenario(lab, scenario, defense, spoof_origin=args.spoof_origin)
     except ScenarioSetupFailed as exc:
         print(f"csrf-lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR

@@ -8,8 +8,11 @@ anything else in a header makes that one header malformed, and it is
 skipped and logged while the rest of the response is honored.
 
 One scoping rule serves two lookups.  A cookie is in scope for a URL
-when its domain is the URL's host and its path is a prefix of the URL's
-path; in-scope cookies join as ``name=value; name2=value2`` in storage
+when its domain is the URL's host and its path path-matches the URL's
+path (RFC 6265 §5.1.4: the paths are equal, or the cookie path is a
+prefix that ends in "/" or is followed by "/" in the URL path, so
+``/cgi-bin`` covers ``/cgi-bin/x`` but not ``/cgi-binary``).  In-scope
+cookies join as ``name=value; name2=value2`` in storage
 order.  ``get_cookie`` answers the hosting application's direct query
 and ignores SameSite entirely: the application owns the store, so
 browser-side policy cannot protect the cookie from it.
@@ -183,10 +186,16 @@ def _scoped(store: CookieStore, uri: RequestUri, withhold_strict: bool) -> str |
         f"{c.name}={c.value}"
         for c in store.entries
         if c.domain == host
-        and uri.path.startswith(c.path)
+        and _path_matches(uri.path, c.path)
         and not (withhold_strict and c.same_site is SameSite.STRICT)
     ]
     return "; ".join(pairs) or None
+
+
+def _path_matches(request_path: str, cookie_path: str) -> bool:
+    """RFC 6265 §5.1.4 path-match."""
+    directory = cookie_path if cookie_path.endswith("/") else f"{cookie_path}/"
+    return request_path == cookie_path or request_path.startswith(directory)
 
 
 def get_cookie(store: CookieStore, url: str) -> str | None:
@@ -208,8 +217,3 @@ def cookies_for_request(
         Origin.from_uri(uri)
     )
     return _scoped(store, uri, withhold_strict=cross_site)
-
-
-def clear(store: CookieStore) -> CookieStore:
-    store.entries.clear()
-    return store

@@ -1,16 +1,16 @@
 """Experiment orchestration: victim login, four attacks, outcome matrix.
 
-A run opens one Lab, and each cell mounts a fresh ForumApp (same seed)
-on it: on the run's one ForumServer over TCP, on an InProcessTransport
-in-process.  The lab also owns the run's one asset directory, where
-open_lab writes the attack page that A1 loads.  No server or browser
-state crosses cells.  A cell registers a scripted victim, logs it in
-through a fresh emulator with a cookie-capturing navigation hook
-installed, then fires one attack under one defense policy; every
-request goes out through client.execute.  Success is decided from
-server-state evidence (new posts attributed to the victim with the
-attack's title), never from the HTTP status alone; the status is
-recorded alongside for the grid.
+A run opens one Lab (open_lab), and each cell (run_scenario) mounts a
+fresh ForumApp with the lab's seed on it: on the run's one ForumServer
+over TCP, on an InProcessTransport in-process.  The lab also owns the
+run's one asset directory, where open_lab writes the attack page that
+A1 loads.  No server or browser state crosses cells.  A cell registers
+a scripted victim, logs it in through a fresh emulator with a
+cookie-capturing navigation hook installed, then fires one attack under
+one defense policy; every request goes out through client.execute.
+Success is decided from server-state evidence (new posts attributed to
+the victim with the attack's title), never from the HTTP status alone;
+the status is recorded alongside for the grid.
 
 SCENARIOS is the one table of the four scenarios; EXPECTED_GRID and
 matrix_cells() are derived from it, and the CLI exits nonzero when a
@@ -151,7 +151,7 @@ def victim_login(
 
 
 def verify_outcome(
-    state_before, state_after, expected_sender: str, expected_title: str
+    state_before: dict, state_after: dict, expected_sender: str, expected_title: str
 ) -> tuple[bool, list[dict]]:
     """Evidence-based verdict: the attack succeeded iff the state delta
     contains a post from expected_sender titled expected_title.
@@ -160,12 +160,10 @@ def verify_outcome(
     posts only ever grow, so the before-lists must be prefixes of the
     after-lists (SnapshotMismatch otherwise).
     """
-    before = json.loads(state_before) if isinstance(state_before, str) else state_before
-    after = json.loads(state_after) if isinstance(state_after, str) else state_after
     for key in ("users", "sessions", "posts"):
-        if after[key][: len(before[key])] != before[key]:
+        if state_after[key][: len(state_before[key])] != state_before[key]:
             raise SnapshotMismatch(f"{key} in the before-snapshot are not a prefix of after")
-    delta = after["posts"][len(before["posts"]):]
+    delta = state_after["posts"][len(state_before["posts"]):]
     evidence = [
         post
         for post in delta
@@ -182,20 +180,23 @@ class Lab:
     """Where the cells of one run send their requests.  mount is the
     object whose .app each cell assigns: the ForumServer over TCP, the
     InProcessTransport in-process.  asset_root holds attack_form.html,
-    the packaged attack page that A1 loads."""
+    the packaged attack page that A1 loads.  seed is the token stream
+    seed of every cell's ForumApp."""
 
     transport: Transport
     base_url: str
     mount: ForumServer | InProcessTransport
     asset_root: str
+    seed: int
 
 
 @contextlib.contextmanager
 def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab]:
-    """Over TCP, one ephemeral-port ForumServer for the whole run, stopped
-    on exit; in-process, dispatch straight into the mounted app.  Either
-    way the lab owns one temporary asset root, holding the attack page
-    aimed at base_url (which every cell shares), removed on exit."""
+    """The lab every run_scenario call needs, for one seed.  Over TCP,
+    one ephemeral-port ForumServer for the whole run, stopped on exit;
+    in-process, dispatch straight into the mounted app.  Either way the
+    lab owns one temporary asset root, holding the attack page aimed at
+    base_url (which every cell shares), removed on exit."""
     with contextlib.ExitStack() as stack:
         asset_root = stack.enter_context(tempfile.TemporaryDirectory(prefix="csrf-lab-assets-"))
         if in_process:
@@ -206,7 +207,7 @@ def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab
             transport, base_url = TcpTransport(), mount.base_url()
         with open(f"{asset_root}/attack_form.html", "w", encoding="utf-8") as fh:
             fh.write(fixtures.attack_form_html(base_url))
-        yield Lab(transport, base_url, mount, asset_root)
+        yield Lab(transport, base_url, mount, asset_root, seed)
 
 
 def _register_users(lab: Lab) -> None:
@@ -377,35 +378,17 @@ def matrix_cells() -> list[tuple[ScenarioId, DefenseMode, bool]]:
 
 
 def run_scenario(
-    scenario: ScenarioId,
-    defense: DefenseMode,
-    spoof_origin: bool = False,
-    seed: int = DEFAULT_SEED,
-    in_process: bool = False,
-    install_hook: bool = True,
-    lab: Lab | None = None,
+    lab: Lab, scenario: ScenarioId, defense: DefenseMode, spoof_origin: bool = False
 ) -> AttackOutcome:
-    """One matrix cell on a fresh ForumApp(policy=defense, seed=seed),
-    mounted on `lab`, the one run_matrix opens for the whole matrix.
-    Without one the cell opens and closes its own, in-process or over
-    TCP as in_process says.  install_hook=False is fault injection for
-    tests: the victim login then captures nothing and the cell fails
-    setup."""
-    if lab is None:
-        with open_lab(seed, in_process) as own:
-            return _run_cell(scenario, defense, spoof_origin, seed, install_hook, own)
-    return _run_cell(scenario, defense, spoof_origin, seed, install_hook, lab)
-
-
-def _run_cell(scenario, defense, spoof_origin, seed, install_hook, lab) -> AttackOutcome:
-    app = ForumApp(policy=defense, seed=seed)
+    """One matrix cell on a fresh ForumApp(policy=defense, seed=lab.seed),
+    mounted on lab."""
+    app = ForumApp(policy=defense, seed=lab.seed)
     lab.mount.app = app
     spec = SCENARIOS[scenario]
     _register_users(lab)
 
     view = WebViewInstance(transport=lab.transport, asset_root=lab.asset_root)
-    if install_hook:
-        view.set_navigation_hook(CookieCapture(view))
+    view.set_navigation_hook(CookieCapture(view))
     try:
         stolen_cookie = victim_login(view, lab.base_url, VICTIM, VICTIM_PASSWORD)
     except Exception as exc:
@@ -452,9 +435,7 @@ def run_matrix(seed: int = DEFAULT_SEED, in_process: bool = False) -> MatrixRepo
     with open_lab(seed, in_process) as lab:
         for scenario, defense, spoof in matrix_cells():
             try:
-                outcome = run_scenario(
-                    scenario, defense, spoof_origin=spoof, seed=seed, lab=lab
-                )
+                outcome = run_scenario(lab, scenario, defense, spoof_origin=spoof)
             except ScenarioSetupFailed as exc:
                 outcome = AttackOutcome(
                     scenario=scenario,

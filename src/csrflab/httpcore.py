@@ -20,8 +20,10 @@ name and one for the value: built and parsed headers meet one rule
 Bodies are raw bytes end to end.  The form codec uses the
 x-www-form-urlencoded convention: letters, digits and ``*-._`` pass
 through, space becomes ``+``, every other octet becomes ``%XX`` with
-uppercase hex.  (The stdlib quoting helpers differ on ``*`` and ``~``,
-so the codec is spelled out here.)
+uppercase hex.  The stdlib's quote_plus and unquote_to_bytes do the
+work; the codec adds ``*`` to the safe set, escapes ``~`` (which
+quote_plus leaves bare), and rejects a ``%`` not followed by two hex
+digits, where unquote would pass it through.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
+from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 
 class MalformedMessage(Exception):
@@ -406,42 +408,19 @@ def serialize(message: Message) -> bytes:
     return b"".join(out)
 
 
-_FORM_SAFE = frozenset(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789*-._"
-)
+_BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 
 
 def _encode_component(text: str) -> str:
-    out = []
-    for octet in text.encode("utf-8"):
-        if octet in _FORM_SAFE:
-            out.append(chr(octet))
-        elif octet == 0x20:
-            out.append("+")
-        else:
-            out.append("%{:02X}".format(octet))
-    return "".join(out)
+    return quote_plus(text, safe="*").replace("~", "%7E")
 
 
 def _decode_component(text: str) -> str:
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "+":
-            out.append(0x20)
-            i += 1
-        elif ch == "%":
-            hex_pair = text[i + 1 : i + 3]
-            if len(hex_pair) != 2 or any(c not in "0123456789abcdefABCDEF" for c in hex_pair):
-                raise MalformedEncoding(f"bad percent escape at offset {i} in {text!r}")
-            out.append(int(hex_pair, 16))
-            i += 3
-        else:
-            out.extend(ch.encode("utf-8"))
-            i += 1
+    bad = _BAD_ESCAPE.search(text)
+    if bad is not None:
+        raise MalformedEncoding(f"bad percent escape at offset {bad.start()} in {text!r}")
     try:
-        return out.decode("utf-8")
+        return unquote_to_bytes(text.replace("+", " ")).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedEncoding(f"decoded octets are not UTF-8 in {text!r}") from exc
 

@@ -45,9 +45,9 @@ class ForumServer:
     on its own.
     """
 
-    def __init__(self, config: LabConfig | None = None, app: ForumApp | None = None) -> None:
+    def __init__(self, config: LabConfig | None = None) -> None:
         self.config = config or LabConfig()
-        self.app = app or self._initial_app()
+        self.app = self._initial_app()
         self._listener = socket.create_server(
             (self.config.bind, self.config.port), backlog=BACKLOG
         )

@@ -3,15 +3,15 @@
 Both transports implement the same contract: complete request bytes in,
 complete response bytes out, one exchange per call (Connection: close).
 TCP is the default and the acceptance mode; the in-process transport
-wires callers straight into a ForumApp's byte-level handler for tests
-that want no sockets involved.
+wires callers straight into a ForumApp's byte-level handler for the
+in-process matrix and for tests that want no sockets involved.
 """
 
 from __future__ import annotations
 
 import re
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConnectionFailed(Exception):
@@ -28,18 +28,13 @@ class TcpTransport(Transport):
     """One TCP connection per exchange; the write side is half-closed
     after sending so the server sees a complete request, and the
     response is read to EOF.
-
-    host_aliases lets lab hostnames (e.g. forum.local) resolve to a
-    loopback address without touching the system resolver.
     """
 
-    host_aliases: dict[str, str] = field(default_factory=dict)
     timeout: float = 5.0
 
     def exchange(self, host: str, port: int, raw: bytes) -> bytes:
-        address = self.host_aliases.get(host.lower(), host)
         try:
-            with socket.create_connection((address, port), timeout=self.timeout) as sock:
+            with socket.create_connection((host, port), timeout=self.timeout) as sock:
                 sock.sendall(raw)
                 sock.shutdown(socket.SHUT_WR)
                 chunks = []

@@ -147,10 +147,6 @@ class LoadResult:
             result = result.submission
         return result
 
-    def final_status(self) -> int | None:
-        """Primary status of the deepest navigation this load caused."""
-        return self.deepest().status
-
 
 _GETELEM_SUBMIT = re.compile(
     r'document\s*\.\s*getElementById\s*\(\s*"([^"]*)"\s*\)\s*\.\s*submit\s*\(\s*\)'
@@ -262,12 +258,11 @@ class WebViewInstance:
         transport: Transport | None = None,
         asset_root: str | None = None,
         internet_permitted: bool = True,
-        cookie_store: CookieStore | None = None,
     ) -> None:
         self.transport = transport or TcpTransport()
         self.asset_root = asset_root
         self.internet_permitted = internet_permitted
-        self.cookie_store = cookie_store or CookieStore()
+        self.cookie_store = CookieStore()
         self.navigation_hook = None
         self.current_document: DocumentContext | None = None
         self._in_hook = False
@@ -463,7 +458,9 @@ class WebViewInstance:
                 "application/x-www-form-urlencoded",
                 initiator=initiator,
             )
-        base = form.action.split("?")[0]
+        # A GET submission replaces the action's query; its fragment goes
+        # too, or the new query would land inside it.
+        base = form.action.split("#")[0].split("?")[0]
         target = f"{base}?{encoded}" if encoded else base
         return self._navigate(HttpMethod.GET, target, b"", None, initiator=initiator)
 

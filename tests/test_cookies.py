@@ -11,7 +11,6 @@ from csrflab.cookies import (
     MalformedSetCookie,
     Origin,
     SameSite,
-    clear,
     cookies_for_request,
     get_cookie,
     parse_set_cookie,
@@ -112,6 +111,21 @@ def test_get_cookie_path_prefix():
     assert get_cookie(store, "http://forum.local/other") is None
 
 
+def test_path_match_stops_at_a_segment_boundary():
+    # RFC 6265 §5.1.4: a cookie path covers itself and what lies below
+    # it, not every path that happens to start with the same letters.
+    store = _store_one(CookieStore(), "forum.local", "a=1; Path=/cgi-bin")
+    for path in ("/cgi-bin", "/cgi-bin/", "/cgi-bin/Forum/x.php"):
+        assert get_cookie(store, f"http://forum.local{path}") == "a=1", path
+    for path in ("/cgi-binary", "/cgi-bin.php", "/cgi"):
+        assert get_cookie(store, f"http://forum.local{path}") is None, path
+        uri = parse_url(f"http://forum.local{path}")
+        assert cookies_for_request(store, uri, None) is None, path
+    slashed = _store_one(CookieStore(), "forum.local", "b=2; Path=/cgi-bin/")
+    assert get_cookie(slashed, "http://forum.local/cgi-bin/x") == "b=2"
+    assert get_cookie(slashed, "http://forum.local/cgi-bin") is None
+
+
 def test_get_cookie_ignores_samesite():
     store = _store_one(CookieStore(), "forum.local", "s=1; SameSite=Strict")
     assert get_cookie(store, "http://forum.local/") == "s=1"
@@ -162,15 +176,6 @@ def test_strict_attachment_enumeration():
 def test_lax_free_none_cookie_attaches_cross_site():
     store = _store_one(CookieStore(), "forum.local", "p=2; Path=/")
     assert cookies_for_request(store, parse_url("http://forum.local:8080/"), OPAQUE) == "p=2"
-
-
-def test_clear():
-    store = _store_one(CookieStore(), "forum.local", "a=1")
-    assert clear(store).entries == []
-    assert get_cookie(store, "http://forum.local/") is None
-    assert clear(CookieStore()).entries == []
-    _store_one(store, "forum.local", "b=2")
-    assert get_cookie(store, "http://forum.local/") == "b=2"
 
 
 # ----------------------------------------------------------- properties

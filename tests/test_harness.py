@@ -19,6 +19,7 @@ from csrflab.harness import (
     ScenarioSetupFailed,
     SnapshotMismatch,
     matrix_cells,
+    open_lab,
     run_matrix,
     run_scenario,
     verify_outcome,
@@ -156,84 +157,72 @@ class TestVerifyOutcome:
         with pytest.raises(SnapshotMismatch):
             verify_outcome(before, after, "sohini", "T")
 
-    def test_accepts_json_strings(self):
-        before = json.dumps(_state())
-        after = json.dumps(_state(posts=[_post("sohini", "T", 1)]))
-        assert verify_outcome(before, after, "sohini", "T")[0]
 
 
 # ------------------------------------------------------------- scenarios
 
 
 class TestRunScenario:
+    @pytest.fixture
+    def lab(self):
+        with open_lab(in_process=True) as lab:
+            yield lab
+
     @pytest.mark.parametrize("scenario", list(ScenarioId))
-    def test_every_scenario_succeeds_undefended(self, scenario):
-        outcome = run_scenario(scenario, DefenseMode.NONE, in_process=True)
+    def test_every_scenario_succeeds_undefended(self, lab, scenario):
+        outcome = run_scenario(lab, scenario, DefenseMode.NONE)
         assert outcome.success
         assert outcome.http_status == 302
         assert outcome.evidence[0]["sender"] == VICTIM
 
     def test_a1_over_real_tcp(self):
-        outcome = run_scenario(ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE)
+        with open_lab() as lab:
+            outcome = run_scenario(lab, ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE)
         assert (outcome.success, outcome.http_status) == (True, 302)
         assert outcome.evidence[0]["title"] == "WebView Attack from android"
         assert outcome.evidence[0]["recipient"] == "sohini"
 
-    def test_token_defense_stops_the_form_attack(self):
-        outcome = run_scenario(
-            ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.CSRF_TOKEN, in_process=True
-        )
+    def test_token_defense_stops_the_form_attack(self, lab):
+        outcome = run_scenario(lab, ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.CSRF_TOKEN)
         assert (outcome.success, outcome.http_status) == (False, 403)
         assert "missing_or_bad_token" in outcome.notes
 
-    def test_samesite_starves_the_webview_attacks(self):
-        outcome = run_scenario(
-            ScenarioId.A2_LOAD_DATA, DefenseMode.SAMESITE_STRICT, in_process=True
-        )
+    def test_samesite_starves_the_webview_attacks(self, lab):
+        outcome = run_scenario(lab, ScenarioId.A2_LOAD_DATA, DefenseMode.SAMESITE_STRICT)
         # No cookie crossed the site boundary, so not even a session.
         assert (outcome.success, outcome.http_status) == (False, 401)
 
-    def test_samesite_does_not_touch_api_posts(self):
-        outcome = run_scenario(
-            ScenarioId.A3_POST_URL, DefenseMode.SAMESITE_STRICT, in_process=True
-        )
+    def test_samesite_does_not_touch_api_posts(self, lab):
+        outcome = run_scenario(lab, ScenarioId.A3_POST_URL, DefenseMode.SAMESITE_STRICT)
         assert (outcome.success, outcome.http_status) == (True, 302)
         assert outcome.evidence[0]["recipient"] == PEER
 
-    def test_origin_check_blocks_the_forged_client(self):
-        outcome = run_scenario(
-            ScenarioId.A4_FORGED_CLIENT, DefenseMode.ORIGIN_CHECK, in_process=True
-        )
+    def test_origin_check_blocks_the_forged_client(self, lab):
+        outcome = run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.ORIGIN_CHECK)
         assert (outcome.success, outcome.http_status) == (False, 403)
 
-    def test_spoofed_origin_walks_through_the_origin_check(self):
+    def test_spoofed_origin_walks_through_the_origin_check(self, lab):
         outcome = run_scenario(
+            lab,
             ScenarioId.A4_FORGED_CLIENT,
             DefenseMode.ORIGIN_CHECK,
             spoof_origin=True,
-            in_process=True,
         )
         assert (outcome.success, outcome.http_status) == (True, 302)
         assert "spoofed" in outcome.notes
 
-    def test_failing_cell_leaves_state_alone(self):
-        outcome = run_scenario(
-            ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.ORIGIN_CHECK, in_process=True
-        )
+    def test_failing_cell_leaves_state_alone(self, lab):
+        outcome = run_scenario(lab, ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.ORIGIN_CHECK)
         assert not outcome.success
         assert outcome.state_before == outcome.state_after
 
-    def test_no_hook_fails_setup(self):
+    def test_no_hook_fails_setup(self, lab, monkeypatch):
+        monkeypatch.setattr(WebViewInstance, "set_navigation_hook", lambda view, hook: view)
         with pytest.raises(ScenarioSetupFailed):
-            run_scenario(
-                ScenarioId.A4_FORGED_CLIENT,
-                DefenseMode.NONE,
-                in_process=True,
-                install_hook=False,
-            )
+            run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE)
 
     @pytest.mark.parametrize("scenario", list(ScenarioId))
-    def test_every_exchange_goes_through_client_execute(self, scenario, monkeypatch):
+    def test_every_exchange_goes_through_client_execute(self, lab, scenario, monkeypatch):
         # One request path: registration, login, redirect hops, the
         # attack and the admin fetches all reach the transport through
         # client.execute, looked up as a module attribute.
@@ -250,13 +239,13 @@ class TestRunScenario:
 
         monkeypatch.setattr(client, "execute", counting_execute)
         monkeypatch.setattr(InProcessTransport, "exchange", counting_exchange)
-        run_scenario(scenario, DefenseMode.NONE, in_process=True)
+        run_scenario(lab, scenario, DefenseMode.NONE)
         assert calls["exchange"] >= 8
         assert calls["execute"] == calls["exchange"]
 
-    def test_deterministic_outcomes(self):
-        one = run_scenario(ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE, in_process=True)
-        two = run_scenario(ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE, in_process=True)
+    def test_deterministic_outcomes(self, lab):
+        one = run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE)
+        two = run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE)
         assert one.to_cell() == two.to_cell()
 
 

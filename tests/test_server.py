@@ -153,16 +153,6 @@ def test_assigned_app_serves_the_next_exchange(lab_server, transport):
     assert list(first.users) == ["sohini", "user1"]
 
 
-def test_host_alias_resolution(lab_server):
-    server = lab_server()
-    seed_users(server)
-    aliased = TcpTransport(host_aliases={"forum.local": "127.0.0.1"})
-    response = wire_get(
-        aliased, f"http://forum.local:{server.port}", "/cgi-bin/Forum/index.php"
-    )
-    assert response.status == 200
-
-
 def test_connection_failed_on_dead_port():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

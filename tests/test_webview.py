@@ -192,7 +192,7 @@ def test_load_url_asset_attack_form_end_to_end(lab_server, tmp_path):
     assert result.document.origin.opaque
     assert result.submission is not None
     assert result.submission.status == 302
-    assert result.final_status() == 302
+    assert result.deepest().status == 302
     post = server.app.posts[0]
     assert post.kind is PostKind.PRIVATE_MESSAGE
     assert (post.sender, post.recipient, post.title) == ("sohini", "sohini", ATTACK_TITLE)
@@ -299,7 +299,7 @@ def test_load_data_raw_markup_attacks(lab_server):
         attack_form_html(server.base_url()), "text/html; charset=utf-8", "UTF-8"
     )
     assert result.document.origin.opaque
-    assert result.final_status() == 302
+    assert result.deepest().status == 302
     assert server.app.posts[0].title == ATTACK_TITLE
 
 
@@ -311,7 +311,7 @@ def test_load_data_null_origin_rejected_by_origin_check(lab_server):
     result = view.load_data(
         attack_form_html(server.base_url()), "text/html; charset=utf-8", "UTF-8"
     )
-    assert result.final_status() == 403
+    assert result.deepest().status == 403
     assert server.app.posts == []
 
 
@@ -461,6 +461,23 @@ def test_get_form_submission_uses_query(lab_server):
     view = make_view(server, recording=True)
     doc = view.load_data(
         f'<form id="g" action="{server.base_url()}/cgi-bin/Forum/index.php">'
+        '<input type="text" name="a" value="1 2"/></form>',
+        "text/html",
+        "UTF-8",
+    ).document
+    result = view.submit_form(doc.forms[0], initiator=doc.origin)
+    assert result.status == 200
+    assert b"GET /cgi-bin/Forum/index.php?a=1+2 HTTP/1.1\r\n" in view.transport.requests[-1]
+
+
+def test_get_form_whose_action_has_a_fragment_keeps_its_fields(lab_server):
+    # The fields replace the action's query; had they gone after the
+    # "#top", they would be part of the fragment and never be sent.
+    server = lab_server()
+    seed_users(server)
+    view = make_view(server, recording=True)
+    doc = view.load_data(
+        f'<form action="{server.base_url()}/cgi-bin/Forum/index.php#top">'
         '<input type="text" name="a" value="1 2"/></form>',
         "text/html",
         "UTF-8",
