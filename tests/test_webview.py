@@ -471,8 +471,8 @@ def test_get_form_submission_uses_query(lab_server):
 
 
 def test_get_form_whose_action_has_a_fragment_keeps_its_fields(lab_server):
-    # The fields replace the action's query; had they gone after the
-    # "#top", they would be part of the fragment and never be sent.
+    # Had the fields gone after "#top", they would be part of the
+    # fragment and never be sent.
     server = lab_server()
     seed_users(server)
     view = make_view(server, recording=True)
