@@ -21,7 +21,7 @@ import sys
 
 from . import __version__, fixtures, harness
 from .config import ConfigError, build_config, load_config
-from .forum import CorruptSnapshot, DefenseMode
+from .forum import DEFAULT_SEED, CorruptSnapshot, DefenseMode
 from .harness import ScenarioId, ScenarioSetupFailed
 from .server import ForumServer
 
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     matrix = sub.add_parser("matrix", help="run all scenarios under all defenses")
     matrix.add_argument("--json", metavar="OUT", help="also write the JSON report here")
-    matrix.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
+    matrix.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     emit = sub.add_parser("fixtures", help="write fixture pages to a directory")
     emit.add_argument("--emit", required=True, metavar="DIR")
@@ -99,7 +99,6 @@ def _cmd_serve(args) -> int:
     try:
         server.serve_blocking()
     except KeyboardInterrupt:
-        server.stop()
         print("stopped")
     return EXIT_OK
 
@@ -112,6 +111,9 @@ def _cmd_attack(args) -> int:
             outcome = harness.run_scenario(lab, scenario, defense, spoof_origin=args.spoof_origin)
     except ScenarioSetupFailed as exc:
         print(f"csrf-lab: {exc}", file=sys.stderr)
+        return EXIT_SETUP_ERROR
+    except OSError as exc:  # out of open_lab: no asset directory, or no bind
+        print(f"csrf-lab: cannot set up the lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
     if args.json:
         print(json.dumps(outcome.to_cell(), indent=2))
@@ -138,7 +140,11 @@ def _format_grid(report: harness.MatrixReport) -> str:
 
 
 def _cmd_matrix(args) -> int:
-    report = harness.run_matrix(seed=args.seed)
+    try:
+        report = harness.run_matrix(seed=args.seed)
+    except OSError as exc:  # out of open_lab: no asset directory, or no bind
+        print(f"csrf-lab: cannot set up the lab: {exc}", file=sys.stderr)
+        return EXIT_SETUP_ERROR
     print(_format_grid(report))
     if args.json:
         try:

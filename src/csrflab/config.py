@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .forum import DefenseMode
+from .forum import DEFAULT_ADMIN_TOKEN, DEFAULT_SEED, DefenseMode
 
 
 class ConfigError(Exception):
@@ -29,8 +29,8 @@ class LabConfig:
     bind: str = "127.0.0.1"
     port: int = 8080
     policy: DefenseMode = DefenseMode.NONE
-    seed: int = 1337
-    admin_token: str = "lab-admin-token"
+    seed: int = DEFAULT_SEED
+    admin_token: str = DEFAULT_ADMIN_TOKEN
     snapshot: str | None = None
 
 

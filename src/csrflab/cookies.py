@@ -116,7 +116,6 @@ class Cookie:
 @dataclass
 class CookieStore:
     entries: list[Cookie] = field(default_factory=list)
-    accept_enabled: bool = True
 
 
 def parse_set_cookie(header_value: str, host: str) -> Cookie:
@@ -153,10 +152,8 @@ def store_from_response(
 
     A later cookie with the same (name, domain, path) replaces the earlier
     one in place, keeping its storage position.  Malformed headers are
-    skipped and logged; the rest still land.  No-op when acceptance is off.
+    skipped and logged; the rest still land.
     """
-    if not store.accept_enabled:
-        return store
     if url.scheme != "http":
         raise BadUrl(f"cookies only stored for http URLs, got {url.scheme!r}")
     for header_value in get_header_values(response, "Set-Cookie"):

@@ -59,15 +59,15 @@ def attack_form_html(base_url: str) -> str:
     )
 
 
-def emit_fixtures(directory: str, base_url: str = DEFAULT_BASE_URL) -> list[Path]:
-    """Write the attack asset and login-flow sample pages into a
-    directory; returns the written paths."""
+def emit_fixtures(directory: str) -> list[Path]:
+    """Write the attack asset and login-flow sample pages, aimed at
+    DEFAULT_BASE_URL, into a directory; returns the written paths."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     sample = ForumApp()
     pages = {
-        "attack_form.html": attack_form_html(base_url),
-        "login_form.html": sample.login_page(base_url),
+        "attack_form.html": attack_form_html(DEFAULT_BASE_URL),
+        "login_form.html": sample.login_page(DEFAULT_BASE_URL),
         "index.html": sample.index_page(),
     }
     written = []

@@ -45,6 +45,8 @@ from .httpcore import (
 )
 
 FORUM_ROOT = "/cgi-bin/Forum"
+DEFAULT_SEED = 1337
+DEFAULT_ADMIN_TOKEN = "lab-admin-token"
 
 _log = logging.getLogger(__name__)
 
@@ -157,17 +159,15 @@ class ForumApp:
     def __init__(
         self,
         policy: DefenseMode = DefenseMode.NONE,
-        seed: int = 1337,
-        admin_token: str = "lab-admin-token",
+        seed: int = DEFAULT_SEED,
+        admin_token: str = DEFAULT_ADMIN_TOKEN,
     ) -> None:
         self.policy = policy
-        self.seed = seed
         self.admin_token = admin_token
         self.tokens = TokenSource(seed)
         self.users: dict[str, User] = {}
         self.sessions: dict[str, SessionRecord] = {}
         self.posts: list[PostRecord] = []
-        self._next_seq = 1
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ state
@@ -200,8 +200,8 @@ class ForumApp:
     def _create_post(
         self, kind: PostKind, sender: str, recipient: str | None, title: str, message: str
     ) -> PostRecord:
-        post = PostRecord(kind, sender, recipient, title, message, self._next_seq)
-        self._next_seq += 1
+        # Posts are only ever appended, so post n has seq n.
+        post = PostRecord(kind, sender, recipient, title, message, len(self.posts) + 1)
         self.posts.append(post)
         return post
 
@@ -435,9 +435,9 @@ class ForumApp:
         """Full state including secrets; loading it resumes the run."""
         return {
             "policy": self.policy.value,
-            "seed": self.seed,
+            "seed": self.tokens.seed,
             "token_counter": self.tokens.counter,
-            "next_seq": self._next_seq,
+            "next_seq": len(self.posts) + 1,
             "users": [asdict(user) for user in self.users.values()],
             "sessions": [asdict(session) for session in self.sessions.values()],
             "posts": [post.to_dict() for post in self.posts],
@@ -460,12 +460,11 @@ class ForumApp:
             raise
 
     @classmethod
-    def from_snapshot(cls, doc: dict, admin_token: str = "lab-admin-token") -> "ForumApp":
+    def from_snapshot(cls, doc: dict, admin_token: str = DEFAULT_ADMIN_TOKEN) -> "ForumApp":
         app = cls(
             policy=DefenseMode(doc["policy"]), seed=doc["seed"], admin_token=admin_token
         )
         app.tokens.counter = doc["token_counter"]
-        app._next_seq = doc["next_seq"]
         for u in doc["users"]:
             app.users[u["username"]] = User(u["username"], u["salt"], u["password_digest"])
         for s in doc["sessions"]:
@@ -479,10 +478,12 @@ class ForumApp:
                     p["title"], p["message"], p["seq"],
                 )
             )
+        if doc["next_seq"] != len(app.posts) + 1:
+            raise ValueError(f"next_seq {doc['next_seq']} after {len(app.posts)} posts")
         return app
 
     @classmethod
-    def load_snapshot(cls, path: str, admin_token: str = "lab-admin-token") -> "ForumApp":
+    def load_snapshot(cls, path: str, admin_token: str = DEFAULT_ADMIN_TOKEN) -> "ForumApp":
         """Raises CorruptSnapshot when the file is not a saved state."""
         with open(path, encoding="utf-8") as fh:
             try:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from . import __version__, client, fixtures
 from .config import LabConfig
-from .forum import FORUM_ROOT, DefenseMode, ForumApp
+from .forum import DEFAULT_SEED, FORUM_ROOT, DefenseMode, ForumApp
 from .httpcore import HttpMethod, set_header
 
 # Sent through client.execute; still imported because the benchmark's
@@ -45,7 +45,6 @@ from .server import ForumServer
 from .transport import InProcessTransport, TcpTransport, Transport
 from .webview import WebViewInstance
 
-DEFAULT_SEED = 1337
 VICTIM = "sohini"
 VICTIM_PASSWORD = "victim-pw"
 PEER = "user1"
@@ -105,12 +104,11 @@ class AttackOutcome:
 class MatrixReport:
     grid: list[AttackOutcome]
     seed: int
-    version: str = __version__
 
     def to_json(self) -> str:
         doc = {
             "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
             "cells": [outcome.to_cell() for outcome in self.grid],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -201,7 +199,7 @@ def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab
         asset_root = stack.enter_context(tempfile.TemporaryDirectory(prefix="csrf-lab-assets-"))
         if in_process:
             transport = mount = InProcessTransport(None)
-            base_url = "http://127.0.0.1:8080"
+            base_url = fixtures.DEFAULT_BASE_URL
         else:
             mount = stack.enter_context(ForumServer(LabConfig(port=0, seed=seed)))
             transport, base_url = TcpTransport(), mount.base_url()

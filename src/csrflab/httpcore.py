@@ -86,8 +86,8 @@ def authority(host: str, port: int) -> str:
 class RequestUri:
     """Parsed request target: scheme, host, optional port, path, query.
 
-    Network URIs (http) carry a non-empty host; file/asset/data URIs have
-    an empty host and are resolved locally by the browser emulator.
+    Network URIs (http) carry a non-empty host; file/asset URIs have an
+    empty host and are resolved locally by the browser emulator.
     """
 
     scheme: str
@@ -107,7 +107,7 @@ class RequestUri:
 
 
 def parse_url(text: str) -> RequestUri:
-    """Parse an absolute URL of scheme http, file, asset, or data.
+    """Parse an absolute URL of scheme http, file, or asset.
 
     Raises BadUrl for anything else, including http URLs without a host
     or with an IPv6 literal one (the lab is IPv4-only).
@@ -135,7 +135,7 @@ def parse_url(text: str) -> RequestUri:
             path=parts.path or "/",
             query=parts.query or None,
         )
-    if scheme in ("file", "asset", "data"):
+    if scheme in ("file", "asset"):
         if parts.netloc:
             raise BadUrl(f"{scheme} URL must not carry a host: {text!r}")
         return RequestUri(
@@ -172,14 +172,12 @@ class Header:
 class HttpRequest:
     method: HttpMethod
     uri: RequestUri
-    version: str = HTTP_VERSION
     headers: list[Header] = field(default_factory=list)
     body: bytes = b""
 
 
 @dataclass
 class HttpResponse:
-    version: str = HTTP_VERSION
     status: int = 200
     reason: str = "OK"
     headers: list[Header] = field(default_factory=list)
@@ -362,7 +360,7 @@ def parse_request(raw: bytes) -> HttpRequest:
 
     _check_body_length(headers, body)
     uri = RequestUri(scheme="http", host=host, port=port, path=path, query=query)
-    return HttpRequest(method=method, uri=uri, version=version, headers=headers, body=body)
+    return HttpRequest(method=method, uri=uri, headers=headers, body=body)
 
 
 def parse_response(raw: bytes) -> HttpResponse:
@@ -390,15 +388,15 @@ def parse_response(raw: bytes) -> HttpResponse:
         if len(_header_values(headers, "Location")) != 1:
             raise MalformedMessage("302 must carry exactly one Location header")
     _check_body_length(headers, body)
-    return HttpResponse(version=version, status=status, reason=reason, headers=headers, body=body)
+    return HttpResponse(status=status, reason=reason, headers=headers, body=body)
 
 
 def serialize(message: Message) -> bytes:
     """Message to wire bytes: CRLF line endings, stored header order."""
     if isinstance(message, HttpRequest):
-        start = f"{message.method.value} {message.uri.target()} {message.version}"
+        start = f"{message.method.value} {message.uri.target()} {HTTP_VERSION}"
     else:
-        start = f"{message.version} {message.status} {message.reason}"
+        start = f"{HTTP_VERSION} {message.status} {message.reason}"
     out = [start.encode("latin-1"), _CRLF]
     for header in message.headers:
         out.append(f"{header.name}: {header.value}".encode("latin-1"))

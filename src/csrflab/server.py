@@ -8,7 +8,8 @@ rest wait in the kernel's listen backlog (BACKLOG).  Each connection
 gets one IO_TIMEOUT deadline across all of its reads, so a peer that
 sends nothing, or trickles a byte at a time, holds its worker for at
 most IO_TIMEOUT.  stop() shuts the listening socket down, which wakes
-every blocked accept() at once.
+every blocked accept() at once and fails every later one: that failure
+is what ends each worker loop.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class ForumServer:
         self._port = self._listener.getsockname()[1]
         self._workers: list[threading.Thread] = []
         self._busy: set[threading.Thread] = set()
-        self._stopping = False
         self._finished = False
 
     def _initial_app(self) -> ForumApp:
@@ -90,7 +90,7 @@ class ForumServer:
         """One worker: accept a connection, answer it, repeat until the
         listening socket is shut down."""
         me = threading.current_thread()
-        while not self._stopping:
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
@@ -125,7 +125,6 @@ class ForumServer:
     def stop(self) -> None:
         """Safe to call twice, before start(), and on a pool whose start()
         was interrupted part-way."""
-        self._stopping = True
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:

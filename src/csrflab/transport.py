@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import socket
-from dataclasses import dataclass
 
 
 class ConnectionFailed(Exception):
@@ -23,18 +22,18 @@ class Transport:
         raise NotImplementedError
 
 
-@dataclass
-class TcpTransport(Transport):
-    """One TCP connection per exchange; the write side is half-closed
-    after sending so the server sees a complete request, and the
-    response is read to EOF.
-    """
+EXCHANGE_TIMEOUT = 5.0
 
-    timeout: float = 5.0
+
+class TcpTransport(Transport):
+    """One TCP connection per exchange, under the fixed EXCHANGE_TIMEOUT;
+    the write side is half-closed after sending so the server sees a
+    complete request, and the response is read to EOF.
+    """
 
     def exchange(self, host: str, port: int, raw: bytes) -> bytes:
         try:
-            with socket.create_connection((host, port), timeout=self.timeout) as sock:
+            with socket.create_connection((host, port), timeout=EXCHANGE_TIMEOUT) as sock:
                 sock.sendall(raw)
                 sock.shutdown(socket.SHUT_WR)
                 chunks = []

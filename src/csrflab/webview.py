@@ -115,8 +115,9 @@ class HtmlForm:
 
 @dataclass
 class DocumentContext:
+    """A parsed page: its origin, its forms, and its auto-submit, if any."""
+
     origin: Origin
-    url: str | None = None
     forms: list[HtmlForm] = field(default_factory=list)
     # Form selector: a str is an element id, an int indexes document.forms.
     auto_submit: int | str | None = None
@@ -133,7 +134,6 @@ class LoadResult:
     the navigation before any bytes hit the wire.
     """
 
-    url: str | None
     status: int | None = None
     response: HttpResponse | None = None
     document: DocumentContext | None = None
@@ -194,6 +194,14 @@ class _FormScanner(HTMLParser):
             self._script_chunks.append(data)
 
 
+def _resolve(base: str, reference: str) -> str:
+    """urljoin, with its ValueError (an unbalanced "[") raised as BadUrl."""
+    try:
+        return urljoin(base, reference)
+    except ValueError as exc:
+        raise BadUrl(f"cannot resolve {reference!r} against {base}") from exc
+
+
 def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentContext:
     """Total parse: any input yields a DocumentContext.
 
@@ -213,16 +221,16 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
             continue
         try:
             if url:
-                action = urljoin(url, action)
+                action = _resolve(url, action)
             if parse_url(action).scheme != "http":
                 continue
-        except (BadUrl, ValueError):  # urljoin: ValueError on an unbalanced "["
+        except BadUrl:
             continue
         method = HttpMethod.POST if raw["method"] == "post" else HttpMethod.GET
         forms.append(
             HtmlForm(action=action, method=method, id=raw["id"], fields=tuple(raw["fields"]))
         )
-    document = DocumentContext(origin=origin, url=url, forms=forms)
+    document = DocumentContext(origin=origin, forms=forms)
 
     selectors: list[int | str] = []
     for script in scanner.scripts:
@@ -294,7 +302,7 @@ class WebViewInstance:
 
     # ------------------------------------------------------- navigation
 
-    def _network_exchange(self, method, url, body, content_type, initiator, origin_header=None):
+    def _network_exchange(self, method, url, body, content_type, initiator, origin_header):
         if not self.internet_permitted:
             raise PermissionDenied(f"internet permission not granted; cannot load {url}")
         request = make_request(method, url, body=body, content_type=content_type)
@@ -317,41 +325,33 @@ class WebViewInstance:
         navigation, None for an API call.  Only a document-initiated
         request consults the hook first and carries an Origin header."""
         if initiator is not None and self._consult_hook(url):
-            return LoadResult(url=url, overridden=True)
+            return LoadResult(overridden=True)
 
         origin_header = None if initiator is None else initiator.serialize()
-        request, response = self._network_exchange(
-            method, url, body, content_type, initiator, origin_header
-        )
-        cookiemod.store_from_response(self.cookie_store, request.uri, response)
-        primary = response
-        current_url = url
-
-        hops = 0
-        while response.status == 302:
-            hops += 1
-            if hops > MAX_REDIRECTS:
-                raise TooManyRedirects(f"gave up after {MAX_REDIRECTS} hops from {url}")
-            try:
-                next_url = urljoin(current_url, get_header(response, "Location"))
-            except ValueError as exc:  # an unbalanced "[" in the Location
-                raise BadUrl(f"unresolvable redirect Location from {current_url}") from exc
-            if self._consult_hook(next_url):
-                return LoadResult(
-                    url=url, status=primary.status, response=primary, overridden=True
-                )
+        target = url
+        for hop in range(MAX_REDIRECTS + 1):
             request, response = self._network_exchange(
-                HttpMethod.GET, next_url, b"", None, initiator
+                method, target, body, content_type, initiator, origin_header
             )
             cookiemod.store_from_response(self.cookie_store, request.uri, response)
-            current_url = next_url
+            if hop == 0:
+                primary = response
+            if response.status != 302:
+                break
+            if hop == MAX_REDIRECTS:
+                raise TooManyRedirects(f"gave up after {MAX_REDIRECTS} hops from {url}")
+            target = _resolve(target, get_header(response, "Location"))
+            if self._consult_hook(target):
+                return LoadResult(status=primary.status, response=primary, overridden=True)
+            # A redirect hop is a plain GET, with no Origin header.
+            method, body, content_type, origin_header = HttpMethod.GET, b"", None, None
 
         document = parse_html(
             response.body.decode("utf-8", errors="replace"),
             origin=Origin.from_uri(request.uri),
-            url=current_url,
+            url=target,
         )
-        return self._land(LoadResult(url=url, status=primary.status, response=primary), document)
+        return self._land(LoadResult(status=primary.status, response=primary), document)
 
     def _land(self, result: LoadResult, document: DocumentContext) -> LoadResult:
         """Make document the current page of result, then let it
@@ -389,7 +389,7 @@ class WebViewInstance:
         if uri.scheme not in ("asset", "file"):
             raise BadUrl(f"load_url supports http, file, and asset URLs, got {url!r}")
         document = parse_html(self._read_local(uri), origin=Origin.opaque_origin(), url=url)
-        return self._land(LoadResult(url=url), document)
+        return self._land(LoadResult(), document)
 
     def _read_local(self, uri: RequestUri) -> str:
         """The text of an asset:/// path under the asset root, or of a
@@ -426,7 +426,7 @@ class WebViewInstance:
         else:
             raise BadEncoding(f"encoding must be UTF-8 or base64, got {encoding!r}")
         document = parse_html(text, origin=Origin.opaque_origin(), url=None)
-        return self._land(LoadResult(url=None), document)
+        return self._land(LoadResult(), document)
 
     def post_url(self, url: str, body: bytes) -> LoadResult:
         """POST raw body bytes to an http URL.  API-initiated: no Origin

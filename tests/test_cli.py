@@ -4,6 +4,7 @@ import json
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -72,6 +73,12 @@ class TestAttackCommand:
         assert cli.main(["attack", "--scenario", "A1", "--policy", "none"]) == 2
         assert "injected" in capsys.readouterr().err
 
+    def test_lab_that_cannot_be_set_up_exits_two(self, tmp_path, monkeypatch, capsys):
+        # open_lab cannot make its asset directory.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        assert cli.main(["attack", "--scenario", "A1", "--policy", "none"]) == 2
+        assert capsys.readouterr().err.startswith("csrf-lab: cannot set up the lab: ")
+
 
 def _dead_cell():
     return AttackOutcome(
@@ -126,6 +133,12 @@ class TestMatrixCommand:
         monkeypatch.setattr(harness, "run_matrix", lambda seed: report)
         assert cli.main(["matrix", "--json", "/nonexistent-dir/report.json"]) == 2
         assert "cannot write report" in capsys.readouterr().err
+
+    def test_lab_that_cannot_be_set_up_exits_two(self, tmp_path, monkeypatch, capsys):
+        # open_lab cannot make its asset directory.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        assert cli.main(["matrix"]) == 2
+        assert capsys.readouterr().err.startswith("csrf-lab: cannot set up the lab: ")
 
 
 class TestServeCommand:

@@ -38,12 +38,6 @@ def test_store_samesite_strict_attribute():
     assert store.entries[0].same_site is SameSite.STRICT
 
 
-def test_accept_disabled_is_noop():
-    store = CookieStore(accept_enabled=False)
-    _store_one(store, "forum.local", "session_id=abc")
-    assert store.entries == []
-
-
 def test_replacement_keeps_position_and_latest_value():
     store = CookieStore()
     _store_one(store, "forum.local", "a=1")

@@ -1,5 +1,6 @@
 """Forum application behavior: auth, defenses, state, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -375,6 +376,21 @@ def test_snapshot_round_trip(tmp_path):
     assert resp.status == 302
 
 
+def test_snapshot_file_bytes_are_unchanged(tmp_path):
+    # Pins the file format: seed and next_seq are written from the token
+    # stream and the post list.
+    app = _scripted_run(42)
+    session = list(app.sessions.values())[0]
+    pairs = [("csrf_token", session.csrf_token)] + ATTACK_PM_PAIRS
+    cookie = f"session_id={session.session_id}"
+    assert _post(app, "/cgi-bin/Forum/new_pm.php", pairs, cookie=cookie).status == 302
+    path = tmp_path / "state.json"
+    app.save_snapshot(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "fb5aa6d76ee7f3b1255e00c5b40f1da25f3119a060a6e293739d5f8824ee68cb"
+    )
+
+
 def test_handle_raw_maps_garbage_to_400():
     app = _app()
     out = app.handle_raw(b"not an http request")
@@ -497,7 +513,16 @@ def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
-    "text", ["{\"policy\": \"none\", \"se", "[]", "{}", "{\"policy\": \"bogus\"}"]
+    "text",
+    [
+        "{\"policy\": \"none\", \"se",
+        "[]",
+        "{}",
+        "{\"policy\": \"bogus\"}",
+        # next_seq disagrees with the (zero) posts.
+        '{"policy": "none", "seed": 1, "token_counter": 0, "next_seq": 5,'
+        ' "users": [], "sessions": [], "posts": []}',
+    ],
 )
 def test_load_snapshot_rejects_corrupt_files(tmp_path, text):
     path = tmp_path / "state.json"

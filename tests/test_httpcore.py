@@ -386,6 +386,7 @@ def test_parse_url_local_schemes():
         "not a url",
         "http://[::1]:8080/",
         "http://[::1/",
+        "data:text/html,x",
     ],
 )
 def test_parse_url_rejects(url):

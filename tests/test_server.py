@@ -158,7 +158,7 @@ def test_connection_failed_on_dead_port():
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
     with pytest.raises(ConnectionFailed):
-        TcpTransport(timeout=0.5).exchange("127.0.0.1", dead_port, b"x")
+        TcpTransport().exchange("127.0.0.1", dead_port, b"x")
 
 
 def test_snapshot_written_on_stop(lab_server, tmp_path, transport):

@@ -20,6 +20,7 @@ from csrflab.transport import InProcessTransport, TcpTransport, Transport
 from csrflab.webview import (
     AssetEscape,
     AssetNotFound,
+    MAX_REDIRECTS,
     BadEncoding,
     NoSuchField,
     NoSuchForm,
@@ -256,14 +257,28 @@ def test_load_url_rejects_unknown_scheme():
 
 
 class _RedirectLoopApp:
+    def __init__(self):
+        self.requests = []
+
     def handle_raw(self, raw):
-        return serialize(make_response(302, headers=[("Location", "/loop")]))
+        self.requests.append(raw)
+        # The sixth Location would not even resolve.
+        n = len(self.requests)
+        location = f"/loop{n}" if n <= MAX_REDIRECTS else "http://[::1/x"
+        return serialize(make_response(302, headers=[("Location", location)]))
 
 
 def test_too_many_redirects():
-    view = WebViewInstance(transport=InProcessTransport(_RedirectLoopApp()))
+    # Six exchanges, five hooked hops; the sixth 302 gives up before its
+    # Location is resolved or shown to the hook.
+    app = _RedirectLoopApp()
+    hooked = []
+    view = WebViewInstance(transport=InProcessTransport(app))
+    view.set_navigation_hook(lambda url: hooked.append(url) and False)
     with pytest.raises(TooManyRedirects):
         view.load_url("http://127.0.0.1:8080/loop")
+    assert len(app.requests) == MAX_REDIRECTS + 1
+    assert hooked == [f"http://127.0.0.1:8080/loop{n}" for n in range(1, MAX_REDIRECTS + 1)]
 
 
 class _BracketRedirectApp:
