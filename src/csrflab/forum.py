@@ -471,7 +471,9 @@ class ForumApp:
             app.sessions[s["session_id"]] = SessionRecord(
                 s["session_id"], s["username"], s["csrf_token"]
             )
-        for p in doc["posts"]:
+        for i, p in enumerate(doc["posts"]):
+            if p["seq"] != i + 1:
+                raise ValueError(f"post {i} has seq {p['seq']}, not {i + 1}")
             app.posts.append(
                 PostRecord(
                     PostKind(p["kind"]), p["sender"], p["recipient"],

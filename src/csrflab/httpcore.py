@@ -16,6 +16,10 @@ matching name and appends otherwise; later duplicates are left alone.
 Every Header checks itself when built, by one precompiled regex for the
 name and one for the value: built and parsed headers meet one rule
 (IllegalHeader, or MalformedMessage out of parse_request/parse_response).
+A head is decoded once as Latin-1 and split into text lines, and
+serialize encodes the start line and header lines in one piece; Latin-1
+is one byte per character, so both match a per-line codec exactly, and
+each Header still checks itself.
 
 Bodies are raw bytes end to end.  The form codec uses the
 x-www-form-urlencoded convention: letters, digits and ``*-._`` pass
@@ -72,7 +76,6 @@ REASON_PHRASES = {
     500: "Internal Server Error",
 }
 
-_CRLF = b"\r\n"
 _HEAD_END = b"\r\n\r\n"
 
 
@@ -106,6 +109,9 @@ class RequestUri:
         return f"{self.path}{suffix}"
 
 
+_BEYOND_LATIN_1 = re.compile(r"[^\x00-\xff]")
+
+
 def parse_url(text: str) -> RequestUri:
     """Parse an absolute URL of scheme http, file, or asset.
 
@@ -118,9 +124,11 @@ def parse_url(text: str) -> RequestUri:
         raise BadUrl(f"bad host in {text!r}") from exc
     scheme = parts.scheme.lower()
     if scheme == "http":
-        if not parts.hostname:
+        # Each read of .hostname or .port splits the netloc again.
+        host = parts.hostname
+        if not host:
             raise BadUrl(f"http URL without host: {text!r}")
-        if ":" in parts.hostname:
+        if ":" in host:
             # An IPv6 literal: the lab is IPv4-only, and a bare "::1"
             # in the Host header would not parse back.
             raise BadUrl(f"IPv6 hosts are not supported: {text!r}")
@@ -128,9 +136,12 @@ def parse_url(text: str) -> RequestUri:
             port = parts.port or 80
         except ValueError as exc:
             raise BadUrl(f"bad port in {text!r}") from exc
+        if _BEYOND_LATIN_1.search(parts.path) or _BEYOND_LATIN_1.search(parts.query):
+            # The request line is Latin-1 on the wire.
+            raise BadUrl(f"path or query beyond Latin-1 in {text!r}")
         return RequestUri(
             scheme="http",
-            host=parts.hostname,
+            host=host,
             port=port,
             path=parts.path or "/",
             query=parts.query or None,
@@ -241,13 +252,14 @@ def make_request(
     request.headers.append(Header("Host", authority(uri.host, uri.port)))
     for name, value in headers or []:
         set_header(request, name, value)
-    if content_type is not None and get_header(request, "Content-Type") is None:
+    present = {header.name.lower() for header in request.headers}
+    if content_type is not None and "content-type" not in present:
         request.headers.append(Header("Content-Type", content_type))
-    if get_header(request, "Connection") is None:
+    if "connection" not in present:
         request.headers.append(Header("Connection", "close"))
     if body:
         request.body = body
-        if get_header(request, "Content-Length") is None:
+        if "content-length" not in present:
             request.headers.append(Header("Content-Length", str(len(body))))
     return request
 
@@ -272,23 +284,24 @@ def make_response(
     return response
 
 
-def _split_head(raw: bytes) -> tuple[list[bytes], bytes]:
+def _split_head(raw: bytes) -> tuple[list[str], bytes]:
+    """The head as Latin-1 text lines (one decode for the whole head),
+    and the body bytes after the blank line."""
     end = raw.find(_HEAD_END)
     if end < 0:
         raise MalformedMessage("missing CRLFCRLF header terminator")
-    return raw[:end].split(_CRLF), raw[end + 4 :]
+    return raw[:end].decode("latin-1").split("\r\n"), raw[end + 4 :]
 
 
-def _parse_header_lines(lines: list[bytes]) -> list[Header]:
+def _parse_header_lines(lines: list[str]) -> list[Header]:
     headers = []
     for line in lines:
-        name_part, sep, value_part = line.partition(b":")
+        name, sep, value = line.partition(":")
         if not sep:
-            raise MalformedMessage(f"header line without colon: {line!r}")
+            # Latin-1 round-trips, so the message shows the wire bytes.
+            raise MalformedMessage(f"header line without colon: {line.encode('latin-1')!r}")
         try:
-            name = name_part.decode("latin-1")
-            value = value_part.decode("latin-1").strip(" \t")
-            headers.append(Header(name, value))
+            headers.append(Header(name, value.strip(" \t")))
         except IllegalHeader as exc:
             raise MalformedMessage(str(exc)) from exc
     return headers
@@ -326,7 +339,7 @@ def parse_request(raw: bytes) -> HttpRequest:
     the URI) and exactly Content-Length body bytes.
     """
     lines, body = _split_head(raw)
-    request_line = lines[0].decode("latin-1")
+    request_line = lines[0]
     parts = request_line.split(" ")
     if len(parts) != 3:
         raise MalformedMessage(f"bad request line: {request_line!r}")
@@ -370,7 +383,7 @@ def parse_response(raw: bytes) -> HttpResponse:
     carry exactly one Location header.
     """
     lines, body = _split_head(raw)
-    status_line = lines[0].decode("latin-1")
+    status_line = lines[0]
     parts = status_line.split(" ", 2)
     if len(parts) != 3:
         raise MalformedMessage(f"bad status line: {status_line!r}")
@@ -397,13 +410,10 @@ def serialize(message: Message) -> bytes:
         start = f"{message.method.value} {message.uri.target()} {HTTP_VERSION}"
     else:
         start = f"{HTTP_VERSION} {message.status} {message.reason}"
-    out = [start.encode("latin-1"), _CRLF]
-    for header in message.headers:
-        out.append(f"{header.name}: {header.value}".encode("latin-1"))
-        out.append(_CRLF)
-    out.append(_CRLF)
-    out.append(message.body)
-    return b"".join(out)
+    lines = [start]
+    lines += [f"{header.name}: {header.value}" for header in message.headers]
+    lines += ["", ""]
+    return "\r\n".join(lines).encode("latin-1") + message.body
 
 
 _BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")

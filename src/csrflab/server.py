@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import LabConfig
 from .forum import ForumApp
-from .transport import read_http_message
+from .transport import read_http_message, recv_until
 
 WORKERS = 8
 BACKLOG = 64
@@ -97,7 +97,7 @@ class ForumServer:
                 return
             self._busy.add(me)
             try:
-                raw = read_http_message(_recv_until(conn, time.monotonic() + IO_TIMEOUT))
+                raw = read_http_message(recv_until(conn, time.monotonic() + IO_TIMEOUT))
                 if raw:
                     conn.sendall(self.app.handle_raw(raw))
                 # Idle before the peer can see EOF: what is left cannot
@@ -152,17 +152,3 @@ class ForumServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-
-def _recv_until(conn: socket.socket, deadline: float):
-    """conn.recv under one monotonic deadline shared by every call, not a
-    fresh timeout per call; the sendall that follows inherits what is
-    left of it."""
-
-    def recv(size: int) -> bytes:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("connection deadline passed")
-        conn.settimeout(remaining)
-        return conn.recv(size)
-
-    return recv

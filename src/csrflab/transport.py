@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import socket
+import time
 
 
 class ConnectionFailed(Exception):
@@ -26,21 +27,24 @@ EXCHANGE_TIMEOUT = 5.0
 
 
 class TcpTransport(Transport):
-    """One TCP connection per exchange, under the fixed EXCHANGE_TIMEOUT;
-    the write side is half-closed after sending so the server sees a
+    """One TCP connection per exchange; the connect, the send and every
+    recv share one EXCHANGE_TIMEOUT deadline, so a peer that trickles
+    its response holds the client for at most EXCHANGE_TIMEOUT.  The
+    write side is half-closed after sending so the server sees a
     complete request, and the response is read to EOF.
     """
 
     def exchange(self, host: str, port: int, raw: bytes) -> bytes:
+        timeout = EXCHANGE_TIMEOUT
+        deadline = time.monotonic() + timeout
         try:
-            with socket.create_connection((host, port), timeout=EXCHANGE_TIMEOUT) as sock:
+            with socket.create_connection((host, port), timeout=timeout) as sock:
+                sock.settimeout(_time_left(deadline))
                 sock.sendall(raw)
                 sock.shutdown(socket.SHUT_WR)
+                recv = recv_until(sock, deadline)
                 chunks = []
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
+                while chunk := recv(65536):
                     chunks.append(chunk)
         except OSError as exc:
             raise ConnectionFailed(f"{host}:{port}: {exc}") from exc
@@ -48,6 +52,25 @@ class TcpTransport(Transport):
         if not response:
             raise ConnectionFailed(f"{host}:{port}: connection closed without a response")
         return response
+
+
+def _time_left(deadline: float) -> float:
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("connection deadline passed")
+    return remaining
+
+
+def recv_until(conn: socket.socket, deadline: float):
+    """conn.recv under one monotonic deadline shared by every call, not a
+    fresh timeout per call; a sendall that follows inherits what is
+    left of it."""
+
+    def recv(size: int) -> bytes:
+        conn.settimeout(_time_left(deadline))
+        return conn.recv(size)
+
+    return recv
 
 
 _CONTENT_LENGTH = re.compile(rb"^content-length:[ \t]*(\d+)[ \t]*$", re.I | re.M)

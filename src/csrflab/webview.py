@@ -202,6 +202,12 @@ def _resolve(base: str, reference: str) -> str:
         raise BadUrl(f"cannot resolve {reference!r} against {base}") from exc
 
 
+# What a form or script start tag must begin with.  html.parser opens a
+# tag only on "<" and an ASCII letter and lowercases the name; no other
+# character lowercases to one of these ASCII letters alone.
+_FORM_OR_SCRIPT_TAG = re.compile(r"<(?:form|script)", re.IGNORECASE | re.ASCII)
+
+
 def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentContext:
     """Total parse: any input yields a DocumentContext.
 
@@ -209,7 +215,14 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
     not come out as an absolute http URL are dropped.  The first script
     auto-submit pattern that names an existing form wins; selectors that
     resolve to nothing are dropped with a warning.
+
+    Text without "<form" or "<script" (ASCII case-insensitive) returns
+    an empty document without running the tokenizer.  This is exact:
+    with neither tag, the scanner collects no form and no script, so the
+    full parse would return the same empty document and log nothing.
     """
+    if _FORM_OR_SCRIPT_TAG.search(text) is None:
+        return DocumentContext(origin=origin)
     scanner = _FormScanner()
     scanner.feed(text)
     scanner.close()

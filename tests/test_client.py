@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -16,7 +17,8 @@ from csrflab.httpcore import (
     serialize,
     set_header,
 )
-from csrflab.transport import TcpTransport, read_http_message
+from csrflab import transport as transport_module
+from csrflab.transport import ConnectionFailed, TcpTransport, read_http_message
 
 PM_PAIRS = [
     ("recip", "user1"),
@@ -130,3 +132,35 @@ def test_execute_sends_exactly_the_built_headers():
         b"Content-Length: 3",
         b"Cookie: session_id=stolen",
     ]
+
+
+def test_trickling_peer_is_cut_off_at_the_exchange_deadline(monkeypatch):
+    # One byte every 100 ms never lets a single recv time out, so only a
+    # deadline across the whole exchange ends it.
+    monkeypatch.setattr(transport_module, "EXCHANGE_TIMEOUT", 0.3)
+    response = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def trickle():
+        conn, _ = listener.accept()
+        with conn:
+            try:
+                for octet in response:
+                    conn.sendall(bytes([octet]))
+                    time.sleep(0.1)
+            except OSError:
+                pass  # the client hung up
+
+    thread = threading.Thread(target=trickle)
+    thread.start()
+    started = time.monotonic()
+    try:
+        with pytest.raises(ConnectionFailed):
+            TcpTransport().exchange("127.0.0.1", port, b"GET / HTTP/1.1\r\nHost: a\r\n\r\n")
+        elapsed = time.monotonic() - started
+    finally:
+        listener.close()
+        thread.join(timeout=10)
+    assert elapsed < 1.0
+    assert not thread.is_alive()

@@ -522,6 +522,10 @@ def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypat
         # next_seq disagrees with the (zero) posts.
         '{"policy": "none", "seed": 1, "token_counter": 0, "next_seq": 5,'
         ' "users": [], "sessions": [], "posts": []}',
+        # The one post is numbered 7: the next post would get seq 2.
+        '{"policy": "none", "seed": 1, "token_counter": 0, "next_seq": 2,'
+        ' "users": [], "sessions": [], "posts": [{"kind": "topic", "sender": "a",'
+        ' "recipient": null, "title": "t", "message": "m", "seq": 7}]}',
     ],
 )
 def test_load_snapshot_rejects_corrupt_files(tmp_path, text):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csrflab.httpcore import (
+    _parse_header_lines,
+    _split_head,
     BadUrl,
     Header,
     HttpMethod,
@@ -272,6 +274,120 @@ def test_set_header_idempotent_on_value(name, v1, v2):
     assert len([h for h in req.headers if h.name.lower() == name.lower()]) == 1
 
 
+# ------------------------------------------------------- codec oracles
+
+
+def _oracle_split_head(raw):
+    # The head split and header parse as they were before the head was
+    # decoded once: bytes lines, one Latin-1 decode per name and value.
+    end = raw.find(b"\r\n\r\n")
+    if end < 0:
+        raise MalformedMessage("missing CRLFCRLF header terminator")
+    return raw[:end].split(b"\r\n"), raw[end + 4 :]
+
+
+def _oracle_parse_header_lines(lines):
+    headers = []
+    for line in lines:
+        name_part, sep, value_part = line.partition(b":")
+        if not sep:
+            raise MalformedMessage(f"header line without colon: {line!r}")
+        try:
+            name = name_part.decode("latin-1")
+            value = value_part.decode("latin-1").strip(" \t")
+            headers.append(Header(name, value))
+        except IllegalHeader as exc:
+            raise MalformedMessage(str(exc)) from exc
+    return headers
+
+
+def _oracle_serialize(message):
+    # serialize as it was before the head was encoded once: one encode
+    # per line.
+    if isinstance(message, HttpRequest):
+        start = f"{message.method.value} {message.uri.target()} HTTP/1.1"
+    else:
+        start = f"HTTP/1.1 {message.status} {message.reason}"
+    out = [start.encode("latin-1"), b"\r\n"]
+    for header in message.headers:
+        out.append(f"{header.name}: {header.value}".encode("latin-1"))
+        out.append(b"\r\n")
+    out.append(b"\r\n")
+    out.append(message.body)
+    return b"".join(out)
+
+
+def _oracle_head(raw):
+    lines, body = _oracle_split_head(raw)
+    return [line.decode("latin-1") for line in lines], _oracle_parse_header_lines(lines[1:]), body
+
+
+def _head(raw):
+    lines, body = _split_head(raw)
+    return lines, _parse_header_lines(lines[1:]), body
+
+
+# Octets that matter to the head: separators, CR and LF alone, the
+# whitespace the value strip removes, and bytes past ASCII.
+_head_octets = st.lists(
+    st.one_of(
+        st.sampled_from([b":", b"\r", b"\n", b"\r\n", b" ", b"\t", b"\x00", b"\x7f"]),
+        st.sampled_from([b"\x80", b"\xe9", b"\xff", b"Host", b"Content-Length", b"a"]),
+        st.binary(max_size=3),
+    ),
+    max_size=16,
+).map(b"".join)
+
+
+@settings(max_examples=150)
+@given(st.lists(_head_octets, min_size=1, max_size=5), st.binary(max_size=8), st.booleans())
+def test_head_parse_agrees_with_the_per_line_decode(lines, body, terminated):
+    raw = b"\r\n".join(lines) + (b"\r\n\r\n" if terminated else b"") + body
+    assert _outcome(_head, raw) == _outcome(_oracle_head, raw)
+
+
+def test_head_parse_agrees_with_the_per_line_decode_on_each_octet():
+    for octet in (bytes([i]) for i in range(256)):
+        for line in (octet, b"X" + octet + b": v", b"X: v" + octet + b"w", b"X:" + octet):
+            raw = b"HTTP/1.1 200 OK\r\n" + line + b"\r\n\r\n"
+            assert _outcome(_head, raw) == _outcome(_oracle_head, raw)
+
+
+# Latin-1 header values, and paths and reasons that also reach past
+# Latin-1, where both encoders must raise the same UnicodeEncodeError.
+_latin_1_value = st.text(
+    alphabet=st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=10
+)
+_wide_text = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=33, max_codepoint=126),
+        st.sampled_from(["\xe9", "\xff", "\u0100", "\u20ac", "\U0001f600"]),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def _any_messages(draw):
+    headers = [
+        Header(name, value)
+        for name, value in draw(st.lists(st.tuples(_token, _latin_1_value), max_size=5))
+    ]
+    body = draw(st.binary(max_size=16))
+    if draw(st.booleans()):
+        uri = RequestUri("http", "a", 8080, "/" + draw(_wide_text), draw(st.none() | _wide_text))
+        method = draw(st.sampled_from(list(HttpMethod)))
+        return HttpRequest(method=method, uri=uri, headers=headers, body=body)
+    status = draw(st.sampled_from(sorted(REASON_PHRASES)))
+    return HttpResponse(status=status, reason=draw(_wide_text), headers=headers, body=body)
+
+
+@settings(max_examples=100)
+@given(_any_messages())
+def test_serialize_agrees_with_the_per_line_encode(message):
+    assert _outcome(serialize, message) == _outcome(_oracle_serialize, message)
+
+
 # ------------------------------------------------------------- round trip
 
 _path_text = st.text(
@@ -387,11 +503,20 @@ def test_parse_url_local_schemes():
         "http://[::1]:8080/",
         "http://[::1/",
         "data:text/html,x",
+        # The request line is Latin-1 on the wire.
+        "http://a/\u20ac",
+        "http://a/?q=\u20ac",
     ],
 )
 def test_parse_url_rejects(url):
     with pytest.raises(BadUrl):
         parse_url(url)
+
+
+def test_latin_1_path_and_query_still_go_on_the_wire():
+    request = make_request(HttpMethod.GET, "http://a/caf\xe9?q=\xff")
+    assert serialize(request).startswith("GET /caf\xe9?q=\xff HTTP/1.1\r\n".encode("latin-1"))
+    assert parse_request(serialize(request)) == request
 
 
 # ----------------------------------------------------------------- codec

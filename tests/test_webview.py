@@ -2,9 +2,11 @@
 
 import base64
 import logging
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import seed_users
 from csrflab.cookies import Origin, SameSite
@@ -16,6 +18,7 @@ from csrflab.fixtures import (
 )
 from csrflab.forum import DefenseMode, PostKind
 from csrflab.httpcore import BadUrl, HttpMethod, make_response, serialize
+from csrflab import webview
 from csrflab.transport import InProcessTransport, TcpTransport, Transport
 from csrflab.webview import (
     AssetEscape,
@@ -167,6 +170,47 @@ def test_parse_drops_forms_whose_action_has_a_bad_host():
         url="http://forum.local:8080/page",
     )
     assert [f.id for f in doc.forms] == ["c"]
+
+
+# Pieces that open, nearly open, or only look like form and script tags.
+_markup_piece = st.one_of(
+    st.sampled_from(["<form>", '<FORM id="f" action="http://a/x">', "<form/>", "</form>"]),
+    st.sampled_from(["<script>", "<SCRIPT>", "<sCrIpT>", "</script>", "</SCRIPT>"]),
+    st.sampled_from(["<form", "<script", "<formx>", "<scripts>", "<\u017fcript>"]),
+    st.sampled_from(["<scr\u0130pt>", "< form>", "<!--<form-->", "&lt;script>", "<"]),
+    st.sampled_from(['<input name="n" value="v">', ' method="post"', ">", "<p>"]),
+    st.sampled_from(["document.forms[0].submit()", 'document.getElementById("f").submit()']),
+    st.text(max_size=4),
+)
+_markup = st.lists(_markup_piece, max_size=12).map("".join)
+
+
+def _parse_and_log(text, url):
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    webview_logger = logging.getLogger("csrflab.webview")
+    webview_logger.addHandler(handler)
+    try:
+        document = parse_html(text, origin=OPAQUE, url=url)
+    finally:
+        webview_logger.removeHandler(handler)
+    return document, [record.getMessage() for record in records]
+
+
+@settings(max_examples=200)
+@given(_markup, st.sampled_from([None, "http://a/page"]))
+def test_parse_without_form_or_script_tag_agrees_with_a_full_scan(text, url):
+    # The early return is exact: where the text has no "<form" or
+    # "<script", a full scan finds no form and no script either.
+    if webview._FORM_OR_SCRIPT_TAG.search(text) is None:
+        scanner = webview._FormScanner()
+        scanner.feed(text)
+        scanner.close()
+        assert scanner.raw_forms == [] and scanner.scripts == []
+    with mock.patch.object(webview, "_FORM_OR_SCRIPT_TAG", re.compile("")):
+        full = _parse_and_log(text, url)
+    assert _parse_and_log(text, url) == full
 
 
 @given(st.text(max_size=300))
@@ -328,6 +372,22 @@ def test_load_data_null_origin_rejected_by_origin_check(lab_server):
     )
     assert result.deepest().status == 403
     assert server.app.posts == []
+
+
+def test_load_data_drops_a_form_whose_action_is_beyond_latin_1(caplog):
+    # The request line could not be put on the wire, so the form goes
+    # the way of every other bad action, and its auto-submit with it.
+    view = WebViewInstance(transport=InProcessTransport(None))
+    with caplog.at_level(logging.WARNING, logger="csrflab.webview"):
+        result = view.load_data(
+            '<form id="f" method="post" action="http://127.0.0.1:8080/\u20ac"></form>'
+            '<script>document.getElementById("f").submit()</script>',
+            "text/html",
+            "UTF-8",
+        )
+    assert result.document.forms == []
+    assert result.submission is None
+    assert "matches no form" in caplog.text
 
 
 def test_load_data_empty_document():
