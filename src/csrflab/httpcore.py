@@ -115,8 +115,9 @@ _BEYOND_LATIN_1 = re.compile(r"[^\x00-\xff]")
 def parse_url(text: str) -> RequestUri:
     """Parse an absolute URL of scheme http, file, or asset.
 
-    Raises BadUrl for anything else, including http URLs without a host
-    or with an IPv6 literal one (the lab is IPv4-only).
+    Raises BadUrl for anything else, including http URLs without a host,
+    with an IPv6 literal one (the lab is IPv4-only), or with a host, path
+    or query beyond Latin-1.
     """
     try:
         parts = urlsplit(text)
@@ -136,9 +137,13 @@ def parse_url(text: str) -> RequestUri:
             port = parts.port or 80
         except ValueError as exc:
             raise BadUrl(f"bad port in {text!r}") from exc
-        if _BEYOND_LATIN_1.search(parts.path) or _BEYOND_LATIN_1.search(parts.query):
-            # The request line is Latin-1 on the wire.
-            raise BadUrl(f"path or query beyond Latin-1 in {text!r}")
+        if (
+            _BEYOND_LATIN_1.search(host)
+            or _BEYOND_LATIN_1.search(parts.path)
+            or _BEYOND_LATIN_1.search(parts.query)
+        ):
+            # The request line and the Host header are Latin-1 on the wire.
+            raise BadUrl(f"host, path or query beyond Latin-1 in {text!r}")
         return RequestUri(
             scheme="http",
             host=host,

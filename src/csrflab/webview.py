@@ -12,6 +12,13 @@ whitespace-tolerant, double quotes only.  Anything else in a script is
 inert.  That is all auto-submitting attack pages need, and it keeps the
 attack surface of the lab itself at zero.
 
+A lab loads the same few pages over and over (the login page, the
+attack page), so the html.parser pass is memoized per distinct page
+text: the 16 most recently parsed texts stay referenced with their scan.
+The memo is exact, because the scan is a pure function of the text and
+returns immutable data; resolving actions against the page URL, the
+origin, the auto-submit choice and its warning run on every parse.
+
 Navigation model.  Every network navigation follows up to five 302
 hops.  The navigation hook (the shouldOverrideUrlLoading analog) is
 consulted before document-initiated navigations (form submissions and
@@ -37,6 +44,7 @@ from __future__ import annotations
 import base64
 import binascii
 import dataclasses
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -208,6 +216,37 @@ def _resolve(base: str, reference: str) -> str:
 _FORM_OR_SCRIPT_TAG = re.compile(r"<(?:form|script)", re.IGNORECASE | re.ASCII)
 
 
+# A raw form is (id, action, method, fields): the action as written, not
+# yet resolved against the page URL, and None when the tag has none.
+_RawForm = tuple[str | None, str | None, HttpMethod, tuple[tuple[str, str], ...]]
+
+
+@functools.lru_cache(maxsize=16)
+def _scan(text: str) -> tuple[tuple[_RawForm, ...], tuple[int | str, ...]]:
+    """The tokenizer pass over text: its raw forms, and the auto-submit
+    selectors of its scripts in order.  A pure function of text, returning
+    immutable data only, so every caller of one text shares one result."""
+    scanner = _FormScanner()
+    scanner.feed(text)
+    scanner.close()
+    forms = tuple(
+        (
+            raw["id"],
+            raw["action"],
+            HttpMethod.POST if raw["method"] == "post" else HttpMethod.GET,
+            tuple(raw["fields"]),
+        )
+        for raw in scanner.raw_forms
+    )
+    selectors: list[int | str] = []
+    for script in scanner.scripts:
+        for match in _GETELEM_SUBMIT.finditer(script):
+            selectors.append(match.group(1))
+        for match in _FORMS_SUBMIT.finditer(script):
+            selectors.append(int(match.group(1)))
+    return forms, tuple(selectors)
+
+
 def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentContext:
     """Total parse: any input yields a DocumentContext.
 
@@ -220,16 +259,20 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
     an empty document without running the tokenizer.  This is exact:
     with neither tag, the scanner collects no form and no script, so the
     full parse would return the same empty document and log nothing.
+
+    Other text is tokenized once per distinct text: _scan memoizes the
+    html.parser pass for the 16 most recently parsed texts, which it
+    keeps referenced.  This is exact too: the scan reads nothing but
+    the text and returns immutable data.  Everything that depends on
+    url or origin, and the warning, runs on every call, and each call
+    builds its own DocumentContext.
     """
     if _FORM_OR_SCRIPT_TAG.search(text) is None:
         return DocumentContext(origin=origin)
-    scanner = _FormScanner()
-    scanner.feed(text)
-    scanner.close()
+    raw_forms, selectors = _scan(text)
 
     forms: list[HtmlForm] = []
-    for raw in scanner.raw_forms:
-        action = raw["action"]
+    for form_id, action, method, fields in raw_forms:
         if action is None:
             continue
         try:
@@ -239,18 +282,9 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
                 continue
         except BadUrl:
             continue
-        method = HttpMethod.POST if raw["method"] == "post" else HttpMethod.GET
-        forms.append(
-            HtmlForm(action=action, method=method, id=raw["id"], fields=tuple(raw["fields"]))
-        )
+        forms.append(HtmlForm(action=action, method=method, id=form_id, fields=fields))
     document = DocumentContext(origin=origin, forms=forms)
 
-    selectors: list[int | str] = []
-    for script in scanner.scripts:
-        for match in _GETELEM_SUBMIT.finditer(script):
-            selectors.append(match.group(1))
-        for match in _FORMS_SUBMIT.finditer(script):
-            selectors.append(int(match.group(1)))
     for selector in selectors:
         if resolve_form(document, selector) is not None:
             document.auto_submit = selector

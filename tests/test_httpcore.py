@@ -506,6 +506,8 @@ def test_parse_url_local_schemes():
         # The request line is Latin-1 on the wire.
         "http://a/\u20ac",
         "http://a/?q=\u20ac",
+        # So is the Host header.
+        "http://\u20ac/x",
     ],
 )
 def test_parse_url_rejects(url):

@@ -213,6 +213,49 @@ def test_parse_without_form_or_script_tag_agrees_with_a_full_scan(text, url):
     assert _parse_and_log(text, url) == full
 
 
+@settings(max_examples=200)
+@given(_markup, st.sampled_from([None, "http://a/page"]))
+def test_parse_memo_agrees_with_an_uncached_scan(text, url):
+    # The first parse of text misses the memo and the second hits it;
+    # both must give the document and the warnings of a scan that runs
+    # the tokenizer afresh.
+    webview._scan.cache_clear()
+    miss = _parse_and_log(text, url)
+    hit = _parse_and_log(text, url)
+    with mock.patch.object(webview, "_scan", webview._scan.__wrapped__):
+        uncached = _parse_and_log(text, url)
+    assert miss == uncached
+    assert hit == uncached
+    if webview._FORM_OR_SCRIPT_TAG.search(text) is not None:
+        assert webview._scan.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_parse_memo_is_not_shared_between_documents():
+    doc = parse_html(ATTACK_PAGE_HTML, origin=OPAQUE)
+    expected = parse_html(ATTACK_PAGE_HTML, origin=OPAQUE)
+    doc.forms.clear()
+    doc.auto_submit = None
+    assert parse_html(ATTACK_PAGE_HTML, origin=OPAQUE) == expected
+    assert expected.forms and expected.auto_submit == "post-form"
+
+
+def test_parse_memo_still_warns_on_a_hit():
+    text = '<script>document.getElementById("ghost").submit()</script>'
+    webview._scan.cache_clear()
+    warning = ["auto-submit selector 'ghost' matches no form; dropped"]
+    assert _parse_and_log(text, None)[1] == warning  # a miss
+    assert _parse_and_log(text, None)[1] == warning  # a hit
+    assert webview._scan.cache_info()[:2] == (1, 1)
+
+
+def test_parse_memo_keeps_at_most_maxsize_pages():
+    maxsize = webview._scan.cache_info().maxsize
+    for n in range(maxsize * 2):
+        parse_html(f'<form id="f{n}" action="http://a/{n}"></form>', origin=OPAQUE)
+        assert webview._scan.cache_info().currsize <= maxsize
+    assert webview._scan.cache_info().currsize == maxsize
+
+
 @given(st.text(max_size=300))
 def test_parser_totality(text):
     doc = parse_html(text, origin=OPAQUE)
@@ -388,6 +431,27 @@ def test_load_data_drops_a_form_whose_action_is_beyond_latin_1(caplog):
     assert result.document.forms == []
     assert result.submission is None
     assert "matches no form" in caplog.text
+
+
+def test_load_data_drops_a_form_whose_host_is_beyond_latin_1(caplog):
+    # The Host header could not be put on the wire: the form is dropped,
+    # and the loads that take such a URL raise BadUrl.
+    url = "http://\u20ac/x"
+    view = WebViewInstance(transport=InProcessTransport(None))
+    with caplog.at_level(logging.WARNING, logger="csrflab.webview"):
+        result = view.load_data(
+            f'<form id="f" method="post" action="{url}"></form>'
+            '<script>document.getElementById("f").submit()</script>',
+            "text/html",
+            "UTF-8",
+        )
+    assert result.document.forms == []
+    assert result.submission is None
+    assert "matches no form" in caplog.text
+    with pytest.raises(BadUrl):
+        view.load_url(url)
+    with pytest.raises(BadUrl):
+        view.post_url(url, b"")
 
 
 def test_load_data_empty_document():
