@@ -21,6 +21,24 @@ serialize encodes the start line and header lines in one piece; Latin-1
 is one byte per character, so both match a per-line codec exactly, and
 each Header still checks itself.
 
+A lab replays the same traffic in every cell, so the two pure text
+parsers are memoized per distinct text with functools.lru_cache:
+
+- the header block of a head, 32 entries, each a tuple of frozen
+  Headers; every message gets its own list, so set_header never
+  reaches the memo;
+- parse_url, 16 entries, each a frozen RequestUri.
+
+The memos are exact: each reads nothing but its text, and an input
+that raises is not cached, so it raises on every call.  The start
+line, Host, Content-Length and the 302 Location checks run on every
+parse.  An entry pins its text and the strings parsed from it, about
+twice the text (MAX_HEADER_LINES keeps a block's Headers near that
+size).  The server reads a head of at most about MAX_MESSAGE_PART
+(1 MiB, transport), and a Referer it parses is part of one, so at
+worst the header memo pins 32 x 2 MiB = 64 MiB and the URL memo
+16 x 2 MiB = 32 MiB.
+
 Bodies are raw bytes end to end.  The form codec uses the
 x-www-form-urlencoded convention: letters, digits and ``*-._`` pass
 through, space becomes ``+``, every other octet becomes ``%XX`` with
@@ -33,6 +51,7 @@ digits, where unquote would pass it through.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
@@ -112,12 +131,14 @@ class RequestUri:
 _BEYOND_LATIN_1 = re.compile(r"[^\x00-\xff]")
 
 
+@functools.lru_cache(maxsize=16)
 def parse_url(text: str) -> RequestUri:
     """Parse an absolute URL of scheme http, file, or asset.
 
     Raises BadUrl for anything else, including http URLs without a host,
-    with an IPv6 literal one (the lab is IPv4-only), or with a host, path
-    or query beyond Latin-1.
+    with an IPv6 literal one (the lab is IPv4-only), with port 0, or
+    with a host, path or query beyond Latin-1.  Memoized per text (see
+    the module docstring); a bad URL raises on every call.
     """
     try:
         parts = urlsplit(text)
@@ -134,9 +155,13 @@ def parse_url(text: str) -> RequestUri:
             # in the Host header would not parse back.
             raise BadUrl(f"IPv6 hosts are not supported: {text!r}")
         try:
-            port = parts.port or 80
+            port = parts.port
         except ValueError as exc:
             raise BadUrl(f"bad port in {text!r}") from exc
+        if port == 0:
+            # No server listens on port 0; "port or 80" would send the
+            # request to port 80 instead.
+            raise BadUrl(f"port 0 in {text!r}")
         if (
             _BEYOND_LATIN_1.search(host)
             or _BEYOND_LATIN_1.search(parts.path)
@@ -147,7 +172,7 @@ def parse_url(text: str) -> RequestUri:
         return RequestUri(
             scheme="http",
             host=host,
-            port=port,
+            port=port or 80,
             path=parts.path or "/",
             query=parts.query or None,
         )
@@ -289,18 +314,35 @@ def make_response(
     return response
 
 
-def _split_head(raw: bytes) -> tuple[list[str], bytes]:
-    """The head as Latin-1 text lines (one decode for the whole head),
+def _split_head(raw: bytes) -> tuple[str, str, bytes]:
+    """The start line and the header block as Latin-1 text (one decode
+    for the whole head; the block is "" when there are no header lines),
     and the body bytes after the blank line."""
     end = raw.find(_HEAD_END)
     if end < 0:
         raise MalformedMessage("missing CRLFCRLF header terminator")
-    return raw[:end].decode("latin-1").split("\r\n"), raw[end + 4 :]
+    start, _, block = raw[:end].decode("latin-1").partition("\r\n")
+    return start, block, raw[end + 4 :]
 
 
-def _parse_header_lines(lines: list[str]) -> list[Header]:
+# Bounds what one head holds and costs: 1 MiB of "a:" lines would make
+# 262,144 Headers (24 MiB, 0.7 s).  http.client caps a head at 100 too.
+MAX_HEADER_LINES = 100
+
+
+def _parse_headers(block: str) -> list[Header]:
+    """A fresh list per message, so set_header never reaches the memo."""
+    return list(_parse_header_block(block))
+
+
+@functools.lru_cache(maxsize=32)
+def _parse_header_block(block: str) -> tuple[Header, ...]:
+    if not block:
+        return ()
+    if block.count("\r\n") >= MAX_HEADER_LINES:
+        raise MalformedMessage(f"more than {MAX_HEADER_LINES} header lines")
     headers = []
-    for line in lines:
+    for line in block.split("\r\n"):
         name, sep, value = line.partition(":")
         if not sep:
             # Latin-1 round-trips, so the message shows the wire bytes.
@@ -309,7 +351,7 @@ def _parse_header_lines(lines: list[str]) -> list[Header]:
             headers.append(Header(name, value.strip(" \t")))
         except IllegalHeader as exc:
             raise MalformedMessage(str(exc)) from exc
-    return headers
+    return tuple(headers)
 
 
 def _is_digits(text: str) -> bool:
@@ -343,8 +385,7 @@ def parse_request(raw: bytes) -> HttpRequest:
     The request must carry exactly one Host header (used to reconstruct
     the URI) and exactly Content-Length body bytes.
     """
-    lines, body = _split_head(raw)
-    request_line = lines[0]
+    request_line, block, body = _split_head(raw)
     parts = request_line.split(" ")
     if len(parts) != 3:
         raise MalformedMessage(f"bad request line: {request_line!r}")
@@ -360,7 +401,7 @@ def parse_request(raw: bytes) -> HttpRequest:
     path, sep, query_text = target.partition("?")
     query = query_text if sep else None
 
-    headers = _parse_header_lines(lines[1:])
+    headers = _parse_headers(block)
     hosts = _header_values(headers, "Host")
     if not hosts:
         raise MalformedMessage("missing Host header")
@@ -387,8 +428,7 @@ def parse_response(raw: bytes) -> HttpResponse:
     Only HTTP/1.1 and the lab's status subset are accepted; a 302 must
     carry exactly one Location header.
     """
-    lines, body = _split_head(raw)
-    status_line = lines[0]
+    status_line, block, body = _split_head(raw)
     parts = status_line.split(" ", 2)
     if len(parts) != 3:
         raise MalformedMessage(f"bad status line: {status_line!r}")
@@ -401,7 +441,7 @@ def parse_response(raw: bytes) -> HttpResponse:
     if status not in REASON_PHRASES:
         raise MalformedMessage(f"status {status} outside the lab subset")
 
-    headers = _parse_header_lines(lines[1:])
+    headers = _parse_headers(block)
     if status == 302:
         if len(_header_values(headers, "Location")) != 1:
             raise MalformedMessage("302 must carry exactly one Location header")

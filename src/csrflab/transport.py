@@ -73,7 +73,8 @@ def recv_until(conn: socket.socket, deadline: float):
     return recv
 
 
-_CONTENT_LENGTH = re.compile(rb"^content-length:[ \t]*(\d+)[ \t]*$", re.I | re.M)
+# Every header line but the last ends in "\r" before the "\n" that $ sees.
+_CONTENT_LENGTH = re.compile(rb"^content-length:[ \t]*(\d+)[ \t]*\r?$", re.I | re.M)
 
 # Bounds the head and, separately, the body of one message.
 MAX_MESSAGE_PART = 1 << 20

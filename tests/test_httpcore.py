@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csrflab.httpcore import (
-    _parse_header_lines,
+    _parse_header_block,
+    _parse_headers,
     _split_head,
+    MAX_HEADER_LINES,
     BadUrl,
     Header,
     HttpMethod,
@@ -319,12 +321,12 @@ def _oracle_serialize(message):
 
 def _oracle_head(raw):
     lines, body = _oracle_split_head(raw)
-    return [line.decode("latin-1") for line in lines], _oracle_parse_header_lines(lines[1:]), body
+    return lines[0].decode("latin-1"), _oracle_parse_header_lines(lines[1:]), body
 
 
 def _head(raw):
-    lines, body = _split_head(raw)
-    return lines, _parse_header_lines(lines[1:]), body
+    start, block, body = _split_head(raw)
+    return start, _parse_headers(block), body
 
 
 # Octets that matter to the head: separators, CR and LF alone, the
@@ -351,6 +353,78 @@ def test_head_parse_agrees_with_the_per_line_decode_on_each_octet():
         for line in (octet, b"X" + octet + b": v", b"X: v" + octet + b"w", b"X:" + octet):
             raw = b"HTTP/1.1 200 OK\r\n" + line + b"\r\n\r\n"
             assert _outcome(_head, raw) == _outcome(_oracle_head, raw)
+
+
+# ------------------------------------------------------------- the memos
+
+
+def _check_memo(memo, text):
+    """After emptying memo, a first call misses and a second hits, and
+    both agree with the uncached function; text that raises is never
+    cached, so both calls miss."""
+    try:
+        expected = memo.__wrapped__(text)
+    except Exception as exc:
+        expected, raised = (type(exc), str(exc)), True
+    else:
+        raised = False
+    memo.cache_clear()
+    assert [_outcome(memo, text), _outcome(memo, text)] == [expected, expected]
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == ((0, 2) if raised else (1, 1))
+
+
+_url_text = st.one_of(
+    st.builds(
+        "{}://{}{}/{}".format,
+        st.sampled_from(["http", "HTTP", "asset", "file", "ftp"]),
+        st.sampled_from(["", "127.0.0.1", "a.example", "\u20ac", "[::1]", "[::1"]),
+        st.sampled_from(["", ":", ":0", ":00", ":8080", ":65536", ":x"]),
+        st.text(max_size=6),
+    ),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=200)
+@given(_url_text)
+def test_parse_url_memo_agrees_with_the_uncached_parse(text):
+    _check_memo(parse_url, text)
+
+
+@settings(max_examples=150)
+@given(st.lists(_head_octets, max_size=5))
+def test_header_block_memo_agrees_with_the_uncached_parse(lines):
+    _check_memo(_parse_header_block, b"\r\n".join(lines).decode("latin-1"))
+
+
+def test_parses_of_one_head_get_their_own_header_lists():
+    raw_request = b"GET / HTTP/1.1\r\nHost: a\r\nX-Test: one\r\n\r\n"
+    raw_response = b"HTTP/1.1 200 OK\r\nX-Test: one\r\nContent-Length: 0\r\n\r\n"
+    for parse, raw in ((parse_request, raw_request), (parse_response, raw_response)):
+        first, second = parse(raw), parse(raw)
+        assert first.headers is not second.headers
+        set_header(first, "X-Test", "two")
+        set_header(first, "X-New", "three")
+        assert get_header(second, "X-Test") == "one"
+        assert get_header(second, "X-New") is None
+        assert parse(raw) == second
+
+
+def test_inputs_that_raise_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(MalformedMessage, match="without colon"):
+            parse_request(b"GET / HTTP/1.1\r\nHost: a\r\nno colon\r\n\r\n")
+        with pytest.raises(BadUrl, match="port 0"):
+            parse_url("http://127.0.0.1:0/x")
+
+
+def test_a_head_holds_at_most_max_header_lines():
+    head = b"GET / HTTP/1.1\r\nHost: a\r\n"
+    at_cap = head + b"a: b\r\n" * (MAX_HEADER_LINES - 1) + b"\r\n"
+    assert len(parse_request(at_cap).headers) == MAX_HEADER_LINES
+    with pytest.raises(MalformedMessage, match="header lines"):
+        parse_request(head + b"a: b\r\n" * MAX_HEADER_LINES + b"\r\n")
 
 
 # Latin-1 header values, and paths and reasons that also reach past
@@ -508,6 +582,9 @@ def test_parse_url_local_schemes():
         "http://a/?q=\u20ac",
         # So is the Host header.
         "http://\u20ac/x",
+        # No server listens on port 0; it must not become port 80.
+        "http://127.0.0.1:0/x",
+        "http://127.0.0.1:00/x",
     ],
 )
 def test_parse_url_rejects(url):

@@ -356,6 +356,48 @@ def test_read_http_message_finds_a_head_split_anywhere():
     assert state["given"] == len(raw)
 
 
+_LOGIN_BODY = b"username=sohini&password=pw"
+
+
+def _login_head(port: int, content_length_line: bytes) -> bytes:
+    # Content-Length comes before Content-Type, where make_request
+    # never puts it.
+    return (
+        b"POST /cgi-bin/Forum/login.php HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n" % port
+        + content_length_line
+        + b"\r\nContent-Type: application/x-www-form-urlencoded\r\n\r\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line", [b"Content-Length: 27", b"content-length:\t27 "], ids=["plain", "tab-and-space"]
+)
+def test_read_http_message_finds_content_length_on_any_line(line):
+    head = _login_head(8080, line)
+    chunks = [head, _LOGIN_BODY]
+
+    def recv(n):
+        return chunks.pop(0) if chunks else b""
+
+    assert read_http_message(recv) == head + _LOGIN_BODY
+
+
+def test_body_sent_after_a_pause_is_read_over_tcp(lab_server):
+    server = lab_server()
+    seed_users(server)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(_login_head(server.port, b"Content-Length: 27"))
+        time.sleep(0.05)
+        sock.sendall(_LOGIN_BODY)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    assert data.startswith(b"HTTP/1.1 302 ")
+
+
 @pytest.mark.parametrize("declared", [b"1000000000000", b"9" * 5000], ids=["13-digits", "5000-digits"])
 def test_read_http_message_stops_at_the_body_cap(declared):
     # int() refuses more than 4,300 digits, so the second one must not
