@@ -379,6 +379,19 @@ def _check_body_length(headers: list[Header], body: bytes) -> None:
         )
 
 
+def framed_body_size(head: bytes) -> int:
+    """The body size a complete head frames (RFC 9112 §6.3): its one Content-Length as
+    parse_request reads it, 10**18 past _is_digits' 18 digits, else 0 (no body, or a
+    head that parse_request rejects whatever follows it)."""
+    try:
+        declared = _header_values(_parse_header_block(_split_head(head)[1]), "Content-Length")
+    except MalformedMessage:
+        return 0
+    if len(declared) != 1 or not (declared[0].isascii() and declared[0].isdigit()):
+        return 0
+    return int(declared[0]) if _is_digits(declared[0]) else 10**18
+
+
 def parse_request(raw: bytes) -> HttpRequest:
     """Parse a complete request; raises MalformedMessage otherwise.
 
@@ -409,7 +422,8 @@ def parse_request(raw: bytes) -> HttpRequest:
         raise MalformedMessage("multiple Host headers")
     host, _, port_text = hosts[0].partition(":")
     if port_text:
-        if not _is_digits(port_text):
+        # Port 0 and ports past 65535 are ones parse_url refuses too.
+        if not _is_digits(port_text) or not 0 < int(port_text) <= 65535:
             raise MalformedMessage(f"bad Host port {hosts[0]!r}")
         port = int(port_text)
     else:

@@ -9,7 +9,10 @@ gets one IO_TIMEOUT deadline across all of its reads, so a peer that
 sends nothing, or trickles a byte at a time, holds its worker for at
 most IO_TIMEOUT.  stop() shuts the listening socket down, which wakes
 every blocked accept() at once and fails every later one: that failure
-is what ends each worker loop.
+is what ends each worker loop.  stop() then writes the snapshot under
+the lock each worker holds from its "stopped?" check through
+handle_raw, so a change answered before stop() is in the snapshot, and
+a request that is complete only after it is closed unanswered.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class ForumServer:
     answered by either app.
 
     stop() returns once the idle workers have exited; a worker still in
-    the middle of a connection finishes it (or times out) and then exits
-    on its own.
+    the middle of a connection reads it to its end (or times out), closes
+    it unanswered and then exits on its own.
     """
 
     def __init__(self, config: LabConfig | None = None) -> None:
@@ -55,6 +58,9 @@ class ForumServer:
         self._port = self._listener.getsockname()[1]
         self._workers: list[threading.Thread] = []
         self._busy: set[threading.Thread] = set()
+        # Held across "stopped? -> handle_raw" and "stop -> snapshot", so
+        # every answered change is in the snapshot.
+        self._lock = threading.Lock()
         self._finished = False
 
     def _initial_app(self) -> ForumApp:
@@ -98,8 +104,10 @@ class ForumServer:
             self._busy.add(me)
             try:
                 raw = read_http_message(recv_until(conn, time.monotonic() + IO_TIMEOUT))
-                if raw:
-                    conn.sendall(self.app.handle_raw(raw))
+                with self._lock:
+                    response = self.app.handle_raw(raw) if raw and not self._finished else b""
+                if response:
+                    conn.sendall(response)
                 # Idle before the peer can see EOF: what is left cannot
                 # block, so a stop() that follows the exchange joins it.
                 self._busy.discard(me)
@@ -139,12 +147,13 @@ class ForumServer:
         self._finish()
 
     def _finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        self._listener.close()
-        if self.config.snapshot:
-            self.app.save_snapshot(self.config.snapshot)
+        with self._lock:
+            if self._finished:
+                return
+            self._finished = True
+            self._listener.close()
+            if self.config.snapshot:
+                self.app.save_snapshot(self.config.snapshot)
 
     def __enter__(self) -> "ForumServer":
         return self.start()

@@ -5,13 +5,22 @@ complete response bytes out, one exchange per call (Connection: close).
 TCP is the default and the acceptance mode; the in-process transport
 wires callers straight into a ForumApp's byte-level handler for the
 in-process matrix and for tests that want no sockets involved.
+
+Both frame a request by one rule before ForumApp.handle_raw sees it:
+the head, then as many body bytes as httpcore.framed_body_size reads
+from the head's Content-Length (RFC 9112 §6.3), each capped at
+MAX_MESSAGE_PART.  The server's reader applies the rule as segments
+arrive, the in-process transport to the whole request; either way the
+bytes after the message are dropped, so a request gets the same answer
+over both.
 """
 
 from __future__ import annotations
 
-import re
 import socket
 import time
+
+from .httpcore import framed_body_size
 
 
 class ConnectionFailed(Exception):
@@ -73,43 +82,35 @@ def recv_until(conn: socket.socket, deadline: float):
     return recv
 
 
-# Every header line but the last ends in "\r" before the "\n" that $ sees.
-_CONTENT_LENGTH = re.compile(rb"^content-length:[ \t]*(\d+)[ \t]*\r?$", re.I | re.M)
-
 # Bounds the head and, separately, the body of one message.
 MAX_MESSAGE_PART = 1 << 20
 
 
 def read_http_message(recv) -> bytes:
     """Assemble one HTTP message from a recv(n) callable: everything up
-    to the blank line, then exactly Content-Length more bytes.  Used by
-    the server side, where the client may keep its socket open.
+    to the blank line, then the framed_body_size bytes its head frames.
+    Used by the server side, where the client may keep its socket open.
+    Bytes after the message are dropped, however the segments arrive.
 
     Neither the head nor the body is read past MAX_MESSAGE_PART bytes:
-    what comes back then is short or unterminated, and parse_request
-    rejects it."""
+    a head that does not end within them is cut there, and parse_request
+    rejects it, as it rejects a body cut short."""
     buf = bytearray()
-    head_end = -1
-    while head_end < 0:
-        if len(buf) > MAX_MESSAGE_PART:
-            return bytes(buf)
-        chunk = recv(65536)
-        if not chunk:
-            return bytes(buf)
-        searched = max(len(buf) - 3, 0)
+    head_end, wanted = -1, MAX_MESSAGE_PART
+    while len(buf) < wanted and (chunk := recv(min(65536, wanted - len(buf)))):
         buf += chunk
-        head_end = buf.find(b"\r\n\r\n", searched)
-    match = _CONTENT_LENGTH.search(buf, 0, head_end)
-    declared = match.group(1) if match else b"0"
-    # Compare lengths before int(): a 5,000-digit value would raise.
-    body_size = int(declared) if len(declared) <= 7 else MAX_MESSAGE_PART
-    wanted = head_end + 4 + min(body_size, MAX_MESSAGE_PART)
-    while len(buf) < wanted:
-        chunk = recv(min(65536, wanted - len(buf)))
-        if not chunk:
-            break
-        buf += chunk
-    return bytes(buf)
+        if head_end < 0:
+            head_end = buf.find(b"\r\n\r\n", max(len(buf) - len(chunk) - 3, 0), MAX_MESSAGE_PART)
+            wanted = _message_size(buf, head_end)
+    return bytes(buf[:wanted])
+
+
+def _message_size(data, head_end: int) -> int:
+    """The one framing rule of both transports: where the message at the
+    start of data ends, given its head's CRLFCRLF offset (-1: none yet)."""
+    if head_end < 0:
+        return MAX_MESSAGE_PART
+    return head_end + 4 + min(framed_body_size(data[: head_end + 4]), MAX_MESSAGE_PART)
 
 
 class InProcessTransport(Transport):
@@ -119,4 +120,5 @@ class InProcessTransport(Transport):
         self.app = app
 
     def exchange(self, host: str, port: int, raw: bytes) -> bytes:
-        return self.app.handle_raw(raw)
+        head_end = raw.find(b"\r\n\r\n", 0, MAX_MESSAGE_PART)
+        return self.app.handle_raw(raw[: _message_size(raw, head_end)])

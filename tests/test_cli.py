@@ -167,26 +167,29 @@ class TestServeCommand:
 
     def test_foreground_serve_answers_and_stops_cleanly(self, tmp_path):
         snapshot = tmp_path / "state.json"
-        proc = subprocess.Popen(
+        # The with block closes the pipes.
+        with subprocess.Popen(
             [sys.executable, "-m", "csrflab.cli", "serve", "--port", "0",
              "--policy", "csrf_token", "--seed", "99", "--snapshot", str(snapshot)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert banner.startswith("serving on http://127.0.0.1:")
-            assert "policy=csrf_token" in banner
-            port = int(banner.split("http://127.0.0.1:")[1].split(" ")[0])
-            request = make_request(HttpMethod.GET, f"http://127.0.0.1:{port}/cgi-bin/Forum/index.php")
-            response = parse_response(
-                TcpTransport().exchange("127.0.0.1", port, serialize(request))
-            )
-            assert response.status == 200
-        finally:
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+        ) as proc:
+            try:
+                banner = proc.stdout.readline()
+                assert banner.startswith("serving on http://127.0.0.1:")
+                assert "policy=csrf_token" in banner
+                port = int(banner.split("http://127.0.0.1:")[1].split(" ")[0])
+                request = make_request(
+                    HttpMethod.GET, f"http://127.0.0.1:{port}/cgi-bin/Forum/index.php"
+                )
+                response = parse_response(
+                    TcpTransport().exchange("127.0.0.1", port, serialize(request))
+                )
+                assert response.status == 200
+            finally:
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == 0
         deadline = time.time() + 5
         while not snapshot.exists() and time.time() < deadline:
             time.sleep(0.05)

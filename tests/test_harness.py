@@ -7,8 +7,8 @@ import tempfile
 
 import pytest
 
-from csrflab import client, harness
-from csrflab.forum import DefenseMode
+from csrflab import client, cookies, harness
+from csrflab.forum import DefenseMode, ForumApp
 from csrflab.harness import (
     PEER,
     VICTIM,
@@ -382,3 +382,53 @@ class TestMatrix:
         assert grid[("A1", "samesite_strict", False)] == (False, 401)
         assert grid[("A3", "samesite_strict", False)] == (True, 302)
         assert grid[("A4", "origin_check", True)] == (True, 302)
+
+
+# -------------------------------------------------- which rule decides
+
+
+def _rule_off(monkeypatch, rule):
+    """Disable one of the rules the grid turns on, or the emulator's
+    Origin header."""
+    if rule in ("csrf_token", "origin_check"):
+        check = ForumApp.check_defenses
+        mode = DefenseMode(rule)
+
+        def check_defenses(app, session, request, pairs):
+            return None if app.policy is mode else check(app, session, request, pairs)
+
+        monkeypatch.setattr(ForumApp, "check_defenses", check_defenses)
+    elif rule == "samesite_strict":
+        scoped = cookies._scoped
+        monkeypatch.setattr(
+            cookies, "_scoped", lambda store, uri, withhold_strict: scoped(store, uri, False)
+        )
+    else:
+        exchange = WebViewInstance._network_exchange
+
+        def without_origin(view, method, url, body, content_type, initiator, origin_header):
+            return exchange(view, method, url, body, content_type, initiator, None)
+
+        monkeypatch.setattr(WebViewInstance, "_network_exchange", without_origin)
+
+
+@pytest.mark.parametrize(
+    "rule, flipped",
+    [
+        ("csrf_token", {(s, "csrf_token", False) for s in ("A1", "A2", "A3", "A4")}),
+        ("origin_check", {(s, "origin_check", False) for s in ("A1", "A2", "A3", "A4")}),
+        ("samesite_strict", {("A1", "samesite_strict", False), ("A2", "samesite_strict", False)}),
+        # A1 and A2 send "Origin: null" and A3 and A4 none; the forum
+        # denies both alike, so the grid cannot tell them apart.
+        ("emulator_origin_header", set()),
+    ],
+)
+def test_each_rule_decides_exactly_its_cells(monkeypatch, rule, flipped):
+    _rule_off(monkeypatch, rule)
+    report = run_matrix(1337, in_process=True)
+    cells = {
+        (o.scenario.value, o.defense.value, o.spoof): (o.success, o.http_status)
+        for o in report.grid
+    }
+    assert len(cells) == 17
+    assert {key for key, got in cells.items() if got != harness.EXPECTED_GRID[key]} == flipped

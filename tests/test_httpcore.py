@@ -22,6 +22,7 @@ from csrflab.httpcore import (
     RequestUri,
     form_urldecode,
     form_urlencode,
+    framed_body_size,
     get_header,
     get_header_values,
     make_request,
@@ -76,6 +77,8 @@ def test_parse_request_post_with_body_and_query():
         b"POST /x HTTP/1.1\r\nHost: a\r\nContent-Length: \xb95\r\n\r\nabcde",
         b"GET /x HTTP/1.1\r\nHost: a\r\n",  # missing terminator
         b"GET /x HTTP/1.1\r\nHost: a\r\n\r\nstray-body",
+        b"GET /x HTTP/1.1\r\nHost: 127.0.0.1:0\r\n\r\n",  # ports parse_url refuses
+        b"GET /x HTTP/1.1\r\nHost: 127.0.0.1:99999\r\n\r\n",
         # Over 4,300 digits int() raises ValueError, not MalformedMessage.
         pytest.param(
             b"GET /x HTTP/1.1\r\nHost: a:" + b"8" * 5000 + b"\r\n\r\n", id="port-5000-digits"
@@ -89,6 +92,13 @@ def test_parse_request_post_with_body_and_query():
 def test_parse_request_rejects(raw):
     with pytest.raises(MalformedMessage):
         parse_request(raw)
+
+
+@pytest.mark.parametrize("port", [1, 65535])
+def test_parse_request_host_port_is_one_parse_url_takes(port):
+    uri = parse_request(b"GET /x HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n\r\n" % port).uri
+    assert uri.port == port
+    assert parse_url(uri.origin_text() + "/").port == port
 
 
 def test_parse_request_content_length_mismatch():
@@ -524,6 +534,32 @@ def test_request_round_trip(req):
 @given(_responses())
 def test_response_round_trip(resp):
     assert parse_response(serialize(resp)) == resp
+
+
+@given(_requests())
+def test_framed_body_size_is_the_body_parse_request_takes(req):
+    raw = serialize(req)
+    assert framed_body_size(raw[: len(raw) - len(req.body)]) == len(req.body)
+
+
+@pytest.mark.parametrize(
+    "lines, size",
+    [
+        (b"", 0),
+        (b"content-length:\t00000000027 \r\n", 27),
+        # Heads that parse_request rejects whatever body follows them.
+        (b"Content-Length: 3\r\nContent-Length: 3\r\n", 0),
+        (b"Content-Length: -1\r\n", 0),
+        (b"Content-Length: \xb95\r\n", 0),
+        (b"No-Colon-Here\r\nContent-Length: 27\r\n", 0),
+        # Beyond _is_digits: more than any cap, and no int() of 5,000 digits.
+        (b"Content-Length: " + b"9" * 19 + b"\r\n", 10**18),
+        (b"Content-Length: " + b"9" * 5000 + b"\r\n", 10**18),
+    ],
+    ids=["none", "padded", "two", "negative", "superscript", "bad-line", "19-digits", "5000-digits"],
+)
+def test_framed_body_size(lines, size):
+    assert framed_body_size(b"POST /x HTTP/1.1\r\nHost: a\r\n" + lines + b"\r\n") == size
 
 
 def test_make_request_establishes_invariants():

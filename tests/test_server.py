@@ -8,12 +8,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import seed_users, wire_get, wire_login, wire_post
 from csrflab.config import LabConfig
 from csrflab.forum import DefenseMode, ForumApp
 from csrflab.httpcore import HttpMethod, get_header, make_request, parse_response, serialize
 from csrflab import server as server_module
+from csrflab import transport as transport_module
 from csrflab.server import WORKERS, ForumServer
 from csrflab.transport import (
     MAX_MESSAGE_PART,
@@ -22,6 +24,7 @@ from csrflab.transport import (
     TcpTransport,
     read_http_message,
 )
+from test_forum import _MUTATION, _app, _login, _mutate, _request, _valid_raw_requests
 
 
 def test_register_login_post_over_tcp(lab_server, transport):
@@ -191,6 +194,30 @@ def test_snapshot_resumes_at_startup(lab_server, tmp_path, transport):
     fresh = lab_server(seed=7)
     seed_users(fresh)
     assert wire_login(transport, fresh.base_url()) == cookie_before
+
+
+def test_stop_answers_no_change_the_snapshot_lacks(tmp_path):
+    path = tmp_path / "state.json"
+    server = ForumServer(LabConfig(port=0, snapshot=str(path))).start()
+    body = b"username=late&password=pw"
+    head = (
+        f"POST /cgi-bin/Forum/register.php HTTP/1.1\r\nHost: 127.0.0.1:{server.port}\r\n"
+        f"Content-Type: application/x-www-form-urlencoded\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(head)
+        time.sleep(0.05)  # a worker holds the head and waits for the body
+        server.stop()
+        try:
+            sock.sendall(body)
+            data = sock.recv(65536)
+        except (BrokenPipeError, ConnectionResetError):
+            data = b""  # no worker had taken the connection yet
+    # The register came after the snapshot was written: unanswered, and
+    # not applied, so a restart loses nothing a client saw succeed.
+    assert data == b""
+    assert "late" not in server.app.users
+    assert json.loads(path.read_text())["users"] == []
 
 
 # ------------------------------------------------------------ worker pool
@@ -408,6 +435,58 @@ def test_read_http_message_stops_at_the_body_cap(declared):
     assert state["given"] <= len(head) + MAX_MESSAGE_PART
     assert len(raw) == len(head) + MAX_MESSAGE_PART
     assert ForumApp().handle_raw(raw).startswith(b"HTTP/1.1 400 ")
+
+
+def test_bytes_after_a_get_are_dropped_by_both_transports(lab_server):
+    # RFC 9112 6.3: without Content-Length the request has no body, so
+    # what follows it is not part of it, however the bytes arrive.
+    server = lab_server()
+    raw = (
+        b"GET /cgi-bin/Forum/index.php HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n\r\n" % server.port
+        + b"GET /cgi-bin/Forum/login.php HTTP/1.1\r\n"
+    )
+    over_tcp = TcpTransport().exchange("127.0.0.1", server.port, raw)  # one sendall
+    in_process = InProcessTransport(ForumApp()).exchange("127.0.0.1", server.port, raw)
+    assert parse_response(over_tcp).status == 200
+    assert parse_response(in_process).status == 200
+
+
+def _raw_requests(policy):
+    """A fresh seed-7 app and the requests to mutate: one per route, and
+    a post whose body is most of its bytes."""
+    app = _app(policy)
+    raws = _valid_raw_requests(app)
+    pairs = [("title", "t"), ("message", "x" * 600)]
+    long_post = _request("/cgi-bin/Forum/new_topic.php", HttpMethod.POST, pairs, _login(app))
+    return app, raws + [serialize(long_post)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(DefenseMode)),
+    st.one_of(st.just(-1), st.integers(min_value=0)),  # -1: the long post
+    st.one_of(st.just([]), st.lists(_MUTATION, min_size=1, max_size=3)),
+    st.one_of(
+        st.just(b""),
+        st.binary(max_size=32),
+        st.sampled_from([b"\r\n", b"\r\n\r\n", b"GET / HTTP/1.1\r\nHost: a\r\n\r\n"]),
+    ),
+    st.one_of(st.integers(1, 64), st.just(65536)),
+    st.sampled_from([None, 10, 30, 50, 70, 80, 90, 95, 99, 110]),
+)
+def test_both_transports_frame_alike(policy, which, mutations, stray, step, cap_percent):
+    # The in-process transport and the server's reader, whatever the
+    # segment size, hand handle_raw the same bytes.  A cap drawn as a share
+    # of the request's size cuts heads and bodies.
+    app, raws = _raw_requests(policy)
+    raw = _mutate(raws[which % len(raws)], mutations) + stray
+    cap = MAX_MESSAGE_PART if cap_percent is None else max(len(raw) * cap_percent // 100, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport_module, "MAX_MESSAGE_PART", cap)
+        in_process = InProcessTransport(app).exchange("127.0.0.1", 8080, raw)
+        app, _ = _raw_requests(policy)
+        served = app.handle_raw(read_http_message(_feeder(raw, step)[0]))
+    assert in_process == served
 
 
 def test_oversized_body_gets_400_over_tcp(lab_server):
