@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import __version__, fixtures, harness
@@ -91,15 +92,20 @@ def _cmd_serve(args) -> int:
     except OSError as exc:
         print(f"csrf-lab: cannot bind {config.bind}:{config.port}: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
-    print(
-        f"serving on {server.base_url()} "
-        f"(policy={config.policy.value}, seed={config.seed})",
-        flush=True,
-    )
+    # SIGTERM (kill, service managers) stops the server as Ctrl-C does:
+    # serve_blocking stops it and writes the snapshot on the way out.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(
+            f"serving on {server.base_url()} "
+            f"(policy={config.policy.value}, seed={config.seed})",
+            flush=True,
+        )
         server.serve_blocking()
     except KeyboardInterrupt:
         print("stopped")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return EXIT_OK
 
 

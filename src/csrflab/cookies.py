@@ -21,6 +21,11 @@ attachment decision and is where SameSite=Strict bites: a Strict cookie
 is withheld whenever the initiating document's origin is not same-site
 with the target's.  Requests without an initiator (API-initiated loads)
 attach Strict cookies, the way a typed address-bar navigation would.
+
+Same-site follows RFC 6265bis §5.2: the same scheme and the same site,
+whatever the ports, as cookie scope ignores ports too.  A site there is
+a registrable domain, which needs the public suffix list; none is
+available offline, so here the site is the exact host.
 """
 
 from __future__ import annotations
@@ -77,13 +82,10 @@ class Origin:
         return f"{self.scheme}://{authority(self.host, self.port)}"
 
     def same_site_with(self, other: "Origin") -> bool:
+        """Same scheme and host; ports do not split a site."""
         if self.opaque or other.opaque:
             return False
-        return (self.scheme, self.host, self.port) == (
-            other.scheme,
-            other.host,
-            other.port,
-        )
+        return (self.scheme, self.host) == (other.scheme, other.host)
 
 
 def _check_cookie_name(name: str) -> None:

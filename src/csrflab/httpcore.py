@@ -21,23 +21,33 @@ serialize encodes the start line and header lines in one piece; Latin-1
 is one byte per character, so both match a per-line codec exactly, and
 each Header still checks itself.
 
-A lab replays the same traffic in every cell, so the two pure text
-parsers are memoized per distinct text with functools.lru_cache:
+A lab replays the same traffic in every cell, so the pure text parsers
+are memoized per distinct text with functools.lru_cache:
 
-- the header block of a head, 32 entries, each a tuple of frozen
-  Headers; every message gets its own list, so set_header never
-  reaches the memo;
+- a request head (start line and header lines), 32 entries, each the
+  method, the RequestUri, a tuple of frozen Headers and the declared
+  Content-Length; framed_body_size reads its length from the same memo;
+- a response head, 32 entries: the status, the reason, the Headers and
+  the declared Content-Length;
 - parse_url, 16 entries, each a frozen RequestUri.
 
-The memos are exact: each reads nothing but its text, and an input
-that raises is not cached, so it raises on every call.  The start
-line, Host, Content-Length and the 302 Location checks run on every
-parse.  An entry pins its text and the strings parsed from it, about
-twice the text (MAX_HEADER_LINES keeps a block's Headers near that
-size).  The server reads a head of at most about MAX_MESSAGE_PART
-(1 MiB, transport), and a Referer it parses is part of one, so at
-worst the header memo pins 32 x 2 MiB = 64 MiB and the URL memo
-16 x 2 MiB = 32 MiB.
+The memos are exact: each reads nothing but its text and returns
+immutable values, and an input that raises is not cached, so it raises
+on every call, with the same error.  A hit still checks the body
+against the declared length, and every message gets its own header
+list, so set_header never reaches a memo.  make_request and
+make_response share one Connection: close Header and a small memo of
+Content-Type Headers; a Header is frozen, so sharing it is exact.
+
+An entry pins its text and the strings parsed from it, about twice the
+text (MAX_HEADER_LINES keeps a head's Headers near that size).  The
+server reads a request head of at most about MAX_MESSAGE_PART (1 MiB,
+transport), and a Referer it parses is part of one, so at worst the
+request memo pins 32 x 2 MiB = 64 MiB and the URL memo 16 x 2 MiB =
+32 MiB (tracemalloc read 64.0 MiB for 32 heads of 1 MiB).  The client
+reads a response to its end, so a response head is as long as the
+peer makes it: 32 of 1 MiB also pin 64 MiB, and the forum's own heads
+are under 1 KiB.
 
 Bodies are raw bytes end to end.  The form codec uses the
 x-www-form-urlencoded convention: letters, digits and ``*-._`` pass
@@ -242,7 +252,7 @@ def get_header_values(message: Message, name: str) -> list[str]:
     return _header_values(message.headers, name)
 
 
-def _header_values(headers: list[Header], name: str) -> list[str]:
+def _header_values(headers: list[Header] | tuple[Header, ...], name: str) -> list[str]:
     lname = name.lower()
     return [h.value for h in headers if h.name.lower() == lname]
 
@@ -261,6 +271,15 @@ def set_header(message: Message, name: str, value: str) -> Message:
             return message
     message.headers.append(Header(name, value))
     return message
+
+
+# Headers are frozen, so every message can share these.
+_CONNECTION_CLOSE = Header("Connection", "close")
+
+
+@functools.lru_cache(maxsize=8)
+def _content_type(value: str) -> Header:
+    return Header("Content-Type", value)
 
 
 def make_request(
@@ -284,9 +303,9 @@ def make_request(
         set_header(request, name, value)
     present = {header.name.lower() for header in request.headers}
     if content_type is not None and "content-type" not in present:
-        request.headers.append(Header("Content-Type", content_type))
+        request.headers.append(_content_type(content_type))
     if "connection" not in present:
-        request.headers.append(Header("Connection", "close"))
+        request.headers.append(_CONNECTION_CLOSE)
     if body:
         request.body = body
         if "content-length" not in present:
@@ -307,22 +326,20 @@ def make_response(
     for name, value in headers or []:
         response.headers.append(Header(name, value))
     if content_type is not None:
-        response.headers.append(Header("Content-Type", content_type))
-    response.headers.append(Header("Connection", "close"))
+        response.headers.append(_content_type(content_type))
+    response.headers.append(_CONNECTION_CLOSE)
     response.headers.append(Header("Content-Length", str(len(body))))
     response.body = body
     return response
 
 
-def _split_head(raw: bytes) -> tuple[str, str, bytes]:
-    """The start line and the header block as Latin-1 text (one decode
-    for the whole head; the block is "" when there are no header lines),
-    and the body bytes after the blank line."""
+def _split_head(raw: bytes) -> tuple[str, bytes]:
+    """The head (start line and header lines) as Latin-1 text, one decode
+    for the whole head, and the body bytes after the blank line."""
     end = raw.find(_HEAD_END)
     if end < 0:
         raise MalformedMessage("missing CRLFCRLF header terminator")
-    start, _, block = raw[:end].decode("latin-1").partition("\r\n")
-    return start, block, raw[end + 4 :]
+    return raw[:end].decode("latin-1"), raw[end + 4 :]
 
 
 # Bounds what one head holds and costs: 1 MiB of "a:" lines would make
@@ -330,12 +347,6 @@ def _split_head(raw: bytes) -> tuple[str, str, bytes]:
 MAX_HEADER_LINES = 100
 
 
-def _parse_headers(block: str) -> list[Header]:
-    """A fresh list per message, so set_header never reaches the memo."""
-    return list(_parse_header_block(block))
-
-
-@functools.lru_cache(maxsize=32)
 def _parse_header_block(block: str) -> tuple[Header, ...]:
     if not block:
         return ()
@@ -362,51 +373,67 @@ def _is_digits(text: str) -> bool:
     return len(text) <= 18 and text.isascii() and text.isdigit()
 
 
-def _check_body_length(headers: list[Header], body: bytes) -> None:
+def _declared_length(headers: tuple[Header, ...]) -> int | None:
+    """The one Content-Length of a head, None without one."""
     declared = _header_values(headers, "Content-Length")
     if len(declared) > 1:
         raise MalformedMessage("multiple Content-Length headers")
     if not declared:
-        if body:
-            raise MalformedMessage(f"{len(body)} body bytes without Content-Length")
-        return
+        return None
     if not _is_digits(declared[0]):
         raise MalformedMessage(f"bad Content-Length {declared[0]!r}")
-    expected = int(declared[0])
-    if len(body) != expected:
-        raise MalformedMessage(
-            f"Content-Length {expected} but {len(body)} body bytes present"
-        )
+    return int(declared[0])
+
+
+def _check_body(declared: int | None, body: bytes) -> None:
+    if declared is None:
+        if body:
+            raise MalformedMessage(f"{len(body)} body bytes without Content-Length")
+    elif len(body) != declared:
+        raise MalformedMessage(f"Content-Length {declared} but {len(body)} body bytes present")
 
 
 def framed_body_size(head: bytes) -> int:
     """The body size a complete head frames (RFC 9112 §6.3): its one Content-Length as
     parse_request reads it, 10**18 past _is_digits' 18 digits, else 0 (no body, or a
-    head that parse_request rejects whatever follows it)."""
+    head that parse_request rejects whatever follows it).  A head parse_request takes
+    is read through its memo, so the parse that follows hits."""
     try:
-        declared = _header_values(_parse_header_block(_split_head(head)[1]), "Content-Length")
+        text = _split_head(head)[0]
     except MalformedMessage:
         return 0
+    try:
+        return _request_head(text)[3] or 0
+    except MalformedMessage:
+        pass
+    # A head parse_request rejects: its header lines alone decide, uncached.
+    try:
+        headers = _parse_header_block(text.partition("\r\n")[2])
+    except MalformedMessage:
+        return 0
+    declared = _header_values(headers, "Content-Length")
     if len(declared) != 1 or not (declared[0].isascii() and declared[0].isdigit()):
         return 0
     return int(declared[0]) if _is_digits(declared[0]) else 10**18
 
 
-def parse_request(raw: bytes) -> HttpRequest:
-    """Parse a complete request; raises MalformedMessage otherwise.
+_METHODS = {method.value: method for method in HttpMethod}
 
-    The request must carry exactly one Host header (used to reconstruct
-    the URI) and exactly Content-Length body bytes.
-    """
-    request_line, block, body = _split_head(raw)
+
+@functools.lru_cache(maxsize=32)
+def _request_head(
+    head: str,
+) -> tuple[HttpMethod, RequestUri, tuple[Header, ...], int | None]:
+    """Every check parse_request makes of a head, in its order: the method,
+    the URI, the headers and the declared Content-Length."""
+    request_line, _, block = head.partition("\r\n")
     parts = request_line.split(" ")
     if len(parts) != 3:
         raise MalformedMessage(f"bad request line: {request_line!r}")
     method_text, target, version = parts
-    try:
-        method = HttpMethod(method_text)
-    except ValueError as exc:
-        raise MalformedMessage(f"unknown method {method_text!r}") from exc
+    method = _METHODS.get(method_text)
+    if method is None:
+        raise MalformedMessage(f"unknown method {method_text!r}")
     if version != HTTP_VERSION:
         raise MalformedMessage(f"unsupported version {version!r}")
     if not target.startswith("/"):
@@ -414,7 +441,7 @@ def parse_request(raw: bytes) -> HttpRequest:
     path, sep, query_text = target.partition("?")
     query = query_text if sep else None
 
-    headers = _parse_headers(block)
+    headers = _parse_header_block(block)
     hosts = _header_values(headers, "Host")
     if not hosts:
         raise MalformedMessage("missing Host header")
@@ -431,18 +458,15 @@ def parse_request(raw: bytes) -> HttpRequest:
     if not host:
         raise MalformedMessage("empty Host header")
 
-    _check_body_length(headers, body)
     uri = RequestUri(scheme="http", host=host, port=port, path=path, query=query)
-    return HttpRequest(method=method, uri=uri, headers=headers, body=body)
+    return method, uri, headers, _declared_length(headers)
 
 
-def parse_response(raw: bytes) -> HttpResponse:
-    """Parse a complete response; raises MalformedMessage otherwise.
-
-    Only HTTP/1.1 and the lab's status subset are accepted; a 302 must
-    carry exactly one Location header.
-    """
-    status_line, block, body = _split_head(raw)
+@functools.lru_cache(maxsize=32)
+def _response_head(head: str) -> tuple[int, str, tuple[Header, ...], int | None]:
+    """Every check parse_response makes of a head, in its order: the
+    status, the reason, the headers and the declared Content-Length."""
+    status_line, _, block = head.partition("\r\n")
     parts = status_line.split(" ", 2)
     if len(parts) != 3:
         raise MalformedMessage(f"bad status line: {status_line!r}")
@@ -455,12 +479,36 @@ def parse_response(raw: bytes) -> HttpResponse:
     if status not in REASON_PHRASES:
         raise MalformedMessage(f"status {status} outside the lab subset")
 
-    headers = _parse_headers(block)
+    headers = _parse_header_block(block)
     if status == 302:
         if len(_header_values(headers, "Location")) != 1:
             raise MalformedMessage("302 must carry exactly one Location header")
-    _check_body_length(headers, body)
-    return HttpResponse(status=status, reason=reason, headers=headers, body=body)
+    return status, reason, headers, _declared_length(headers)
+
+
+def parse_request(raw: bytes) -> HttpRequest:
+    """Parse a complete request; raises MalformedMessage otherwise.
+
+    The request must carry exactly one Host header (used to reconstruct
+    the URI) and exactly Content-Length body bytes.
+    """
+    head, body = _split_head(raw)
+    method, uri, headers, declared = _request_head(head)
+    _check_body(declared, body)
+    # A fresh list per message, so set_header never reaches the memo.
+    return HttpRequest(method=method, uri=uri, headers=list(headers), body=body)
+
+
+def parse_response(raw: bytes) -> HttpResponse:
+    """Parse a complete response; raises MalformedMessage otherwise.
+
+    Only HTTP/1.1 and the lab's status subset are accepted; a 302 must
+    carry exactly one Location header.
+    """
+    head, body = _split_head(raw)
+    status, reason, headers, declared = _response_head(head)
+    _check_body(declared, body)
+    return HttpResponse(status=status, reason=reason, headers=list(headers), body=body)
 
 
 def serialize(message: Message) -> bytes:

@@ -195,3 +195,21 @@ class TestServeCommand:
             time.sleep(0.05)
         state = json.loads(snapshot.read_text())
         assert state["policy"] == "csrf_token" and state["seed"] == 99
+
+    def test_sigterm_stops_serve_and_writes_the_snapshot(self, tmp_path):
+        snapshot = tmp_path / "state.json"
+        with subprocess.Popen(
+            [sys.executable, "-m", "csrflab.cli", "serve", "--port", "0",
+             "--seed", "5", "--snapshot", str(snapshot)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                assert proc.stdout.readline().startswith("serving on http://127.0.0.1:")
+            finally:
+                proc.terminate()
+                out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert out == "stopped\n"
+        assert json.loads(snapshot.read_text())["seed"] == 5

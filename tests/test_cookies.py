@@ -144,7 +144,10 @@ def test_origin_serialization():
 
 def test_origin_same_site_rules():
     assert FORUM.same_site_with(Origin.web("http", "FORUM.local", 8080))
-    assert not FORUM.same_site_with(Origin.web("http", "forum.local", 80))
+    # RFC 6265bis §5.2: same-site compares scheme and site, not ports.
+    assert FORUM.same_site_with(Origin.web("http", "forum.local", 80))
+    assert not FORUM.same_site_with(Origin.web("https", "forum.local", 8080))
+    assert not FORUM.same_site_with(EVIL)
     assert not OPAQUE.same_site_with(FORUM)
     assert not OPAQUE.same_site_with(OPAQUE)  # opaque is alien even to itself
 
@@ -158,7 +161,7 @@ def test_strict_attachment_enumeration():
         (None, True),      # API-initiated: attaches
         (OPAQUE, False),   # raw-data / asset document: cross-site
         (FORUM, True),     # same scheme, host, port
-        (Origin.web("http", "forum.local", 80), False),  # port differs
+        (Origin.web("http", "forum.local", 80), True),  # port differs, same site
         (EVIL, False),
     ]
     for initiator, expect in cases:

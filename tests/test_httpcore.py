@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from csrflab.httpcore import (
     _parse_header_block,
-    _parse_headers,
+    _request_head,
+    _response_head,
     _split_head,
     MAX_HEADER_LINES,
     BadUrl,
@@ -33,6 +34,7 @@ from csrflab.httpcore import (
     serialize,
     set_header,
 )
+from test_forum import _MUTATION, _mutate
 
 # ---------------------------------------------------------------- parsing
 
@@ -335,8 +337,9 @@ def _oracle_head(raw):
 
 
 def _head(raw):
-    start, block, body = _split_head(raw)
-    return start, _parse_headers(block), body
+    head, body = _split_head(raw)
+    start, _, block = head.partition("\r\n")
+    return start, list(_parse_header_block(block)), body
 
 
 # Octets that matter to the head: separators, CR and LF alone, the
@@ -400,12 +403,6 @@ _url_text = st.one_of(
 @given(_url_text)
 def test_parse_url_memo_agrees_with_the_uncached_parse(text):
     _check_memo(parse_url, text)
-
-
-@settings(max_examples=150)
-@given(st.lists(_head_octets, max_size=5))
-def test_header_block_memo_agrees_with_the_uncached_parse(lines):
-    _check_memo(_parse_header_block, b"\r\n".join(lines).decode("latin-1"))
 
 
 def test_parses_of_one_head_get_their_own_header_lists():
@@ -560,6 +557,83 @@ def test_framed_body_size_is_the_body_parse_request_takes(req):
 )
 def test_framed_body_size(lines, size):
     assert framed_body_size(b"POST /x HTTP/1.1\r\nHost: a\r\n" + lines + b"\r\n") == size
+
+
+def _head_bytes(message):
+    """The head of a message as sent, up to and with its blank line."""
+    raw = serialize(message)
+    return raw[: len(raw) - len(message.body)]
+
+
+# Heads as the round trip sends them, the same mutated byte by byte as
+# the forum's totality test mutates requests, and lines of head octets
+# under a valid start line.
+_heads = st.one_of(
+    st.one_of(_requests(), _responses()).map(_head_bytes),
+    st.builds(
+        _mutate,
+        st.one_of(_requests(), _responses()).map(_head_bytes),
+        st.lists(_MUTATION, min_size=1, max_size=4),
+    ),
+    st.builds(
+        lambda start, lines: b"\r\n".join([start, *lines]) + b"\r\n\r\n",
+        st.sampled_from([b"POST /x HTTP/1.1", b"HTTP/1.1 200 OK", b"HTTP/1.1 302 Found"]),
+        st.lists(_head_octets, max_size=5),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(_heads)
+def test_head_memos_agree_with_the_uncached_parse(raw):
+    text = raw.partition(b"\r\n\r\n")[0].decode("latin-1")
+    _check_memo(_request_head, text)
+    _check_memo(_response_head, text)
+
+
+@given(st.one_of(_requests(), _responses()).filter(lambda message: message.body))
+def test_a_head_memo_hit_still_checks_the_body(message):
+    if isinstance(message, HttpRequest):
+        parse, memo = parse_request, _request_head
+    else:
+        parse, memo = parse_response, _response_head
+    raw = serialize(message)
+    memo.cache_clear()
+    assert parse(raw) == message
+    for _ in range(3):
+        assert parse(raw) == message
+        with pytest.raises(MalformedMessage, match="body bytes present"):
+            parse(raw[:-1])
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (6, 1)
+
+
+def _oracle_framed_body_size(head):
+    # The framing rule before the head memos: the header lines alone
+    # decide, for heads parse_request takes and for heads it rejects.
+    try:
+        _, headers, _ = _oracle_head(head)
+    except MalformedMessage:
+        return 0
+    declared = [h.value for h in headers if h.name.lower() == "content-length"]
+    if len(declared) != 1 or not (declared[0].isascii() and declared[0].isdigit()):
+        return 0
+    return int(declared[0]) if len(declared[0]) <= 18 else 10**18
+
+
+@settings(max_examples=300)
+@given(_heads, st.binary(max_size=8))
+def test_framed_body_size_agrees_with_parse_request(head, extra):
+    expected = _oracle_framed_body_size(head)
+    _request_head.cache_clear()
+    # A miss, then a hit: both frame as the block rule did.
+    assert [framed_body_size(head), framed_body_size(head)] == [expected, expected]
+    if head.find(b"\r\n\r\n") != len(head) - 4:
+        return  # not exactly one complete head
+    try:
+        request = parse_request(head + extra)
+    except MalformedMessage:
+        return
+    assert framed_body_size(head) == len(request.body) == len(extra)
 
 
 def test_make_request_establishes_invariants():
