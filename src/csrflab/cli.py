@@ -93,7 +93,8 @@ def _cmd_serve(args) -> int:
         print(f"csrf-lab: cannot bind {config.bind}:{config.port}: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
     # SIGTERM (kill, service managers) stops the server as Ctrl-C does:
-    # serve_blocking stops it and writes the snapshot on the way out.
+    # the finally stops it and writes the snapshot, also when the signal
+    # lands while the banner is printed.
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         print(
@@ -103,9 +104,11 @@ def _cmd_serve(args) -> int:
         )
         server.serve_blocking()
     except KeyboardInterrupt:
-        print("stopped")
+        pass
     finally:
+        server.stop()
         signal.signal(signal.SIGTERM, previous)
+    print("stopped")
     return EXIT_OK
 
 

@@ -122,13 +122,10 @@ class ForumServer:
 
     def serve_blocking(self) -> None:
         """Foreground mode for the CLI: the pool plus one more worker
-        loop on the calling thread; stops the server on the way out, so
-        a KeyboardInterrupt leaves it stopped."""
-        try:
-            self.start()
-            self._serve()
-        finally:
-            self.stop()
+        loop on the calling thread, until stop() or an interrupt.  The
+        caller stops the server, as the CLI does on its way out."""
+        self.start()
+        self._serve()
 
     def stop(self) -> None:
         """Safe to call twice, before start(), and on a pool whose start()

@@ -13,6 +13,16 @@ MAX_MESSAGE_PART.  The server's reader applies the rule as segments
 arrive, the in-process transport to the whole request; either way the
 bytes after the message are dropped, so a request gets the same answer
 over both.
+
+TcpTransport connects an AF_INET socket straight to (host, port).
+CPython reads a dotted quad such as the lab's 127.0.0.1 itself and
+calls the resolver only for a name such as localhost (IPv4 only;
+parse_url rejects IPv6 hosts).  socket.create_connection would call
+getaddrinfo every time, which releases the interpreter lock while the
+server's worker waits for it: one more handoff between the two threads
+of an exchange.  A response is read to EOF, and its head must end
+within MAX_MESSAGE_PART bytes, as a request head must.  Its body has
+no cap: the forum's own /admin/state lists every post.
 """
 
 from __future__ import annotations
@@ -33,28 +43,39 @@ class Transport:
 
 
 EXCHANGE_TIMEOUT = 5.0
+# Bounds the head and, separately, the body of one message.
+MAX_MESSAGE_PART = 1 << 20
 
 
 class TcpTransport(Transport):
-    """One TCP connection per exchange; the connect, the send and every
-    recv share one EXCHANGE_TIMEOUT deadline, so a peer that trickles
-    its response holds the client for at most EXCHANGE_TIMEOUT.  The
-    write side is half-closed after sending so the server sees a
-    complete request, and the response is read to EOF.
+    """One TCP connection per exchange, connected to the IPv4 address
+    with no resolver call for a dotted quad (see the module docstring).
+    The connect, the send and every recv share one EXCHANGE_TIMEOUT
+    deadline, so a peer that trickles its response holds the client for
+    at most EXCHANGE_TIMEOUT.  The write side is half-closed after
+    sending so the server sees a complete request, and the response is
+    read to EOF; a peer whose response head runs past MAX_MESSAGE_PART
+    bytes is cut off there with ConnectionFailed.
     """
 
     def exchange(self, host: str, port: int, raw: bytes) -> bytes:
-        timeout = EXCHANGE_TIMEOUT
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + EXCHANGE_TIMEOUT
         try:
-            with socket.create_connection((host, port), timeout=timeout) as sock:
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                sock.settimeout(EXCHANGE_TIMEOUT)
+                sock.connect((host, port))
                 sock.settimeout(_time_left(deadline))
                 sock.sendall(raw)
                 sock.shutdown(socket.SHUT_WR)
                 recv = recv_until(sock, deadline)
-                chunks = []
+                chunks, size, head_checked = [], 0, False
                 while chunk := recv(65536):
                     chunks.append(chunk)
+                    size += len(chunk)
+                    if size > MAX_MESSAGE_PART and not head_checked:
+                        head_checked = True
+                        if b"".join(chunks).find(b"\r\n\r\n", 0, MAX_MESSAGE_PART) < 0:
+                            raise ConnectionFailed(f"{host}:{port}: response head over the cap")
         except OSError as exc:
             raise ConnectionFailed(f"{host}:{port}: {exc}") from exc
         response = b"".join(chunks)
@@ -80,10 +101,6 @@ def recv_until(conn: socket.socket, deadline: float):
         return conn.recv(size)
 
     return recv
-
-
-# Bounds the head and, separately, the body of one message.
-MAX_MESSAGE_PART = 1 << 20
 
 
 def read_http_message(recv) -> bytes:

@@ -1,5 +1,6 @@
 """CLI tests: argument handling, exit codes, and output shapes."""
 
+import builtins
 import json
 import signal
 import subprocess
@@ -141,6 +142,10 @@ class TestMatrixCommand:
         assert capsys.readouterr().err.startswith("csrf-lab: cannot set up the lab: ")
 
 
+def _default_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 class TestServeCommand:
     def test_missing_config_file_exits_two(self, capsys):
         assert cli.main(["serve", "--config", "/nonexistent/lab.conf"]) == 2
@@ -167,13 +172,16 @@ class TestServeCommand:
 
     def test_foreground_serve_answers_and_stops_cleanly(self, tmp_path):
         snapshot = tmp_path / "state.json"
-        # The with block closes the pipes.
+        # The with block closes the pipes.  The child gets SIGINT at its
+        # default disposition even when this process ignores it, as a
+        # background job of a non-interactive shell does.
         with subprocess.Popen(
             [sys.executable, "-m", "csrflab.cli", "serve", "--port", "0",
              "--policy", "csrf_token", "--seed", "99", "--snapshot", str(snapshot)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            preexec_fn=_default_sigint,
         ) as proc:
             try:
                 banner = proc.stdout.readline()
@@ -189,12 +197,31 @@ class TestServeCommand:
                 assert response.status == 200
             finally:
                 proc.send_signal(signal.SIGINT)
-                assert proc.wait(timeout=10) == 0
+                try:
+                    assert proc.wait(timeout=10) == 0
+                finally:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait(timeout=10)
         deadline = time.time() + 5
         while not snapshot.exists() and time.time() < deadline:
             time.sleep(0.05)
         state = json.loads(snapshot.read_text())
         assert state["policy"] == "csrf_token" and state["seed"] == 99
+
+    def test_a_signal_during_the_banner_still_writes_the_snapshot(self, tmp_path, monkeypatch):
+        # A signal sent as soon as the banner is read can land before
+        # serve_blocking is entered.
+        snapshot = tmp_path / "state.json"
+
+        def interrupted(*args, **kwargs):
+            if str(args[0]).startswith("serving on"):
+                raise KeyboardInterrupt
+            builtins.print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "print", interrupted, raising=False)
+        assert cli.main(["serve", "--port", "0", "--seed", "5", "--snapshot", str(snapshot)]) == 0
+        assert json.loads(snapshot.read_text())["seed"] == 5
 
     def test_sigterm_stops_serve_and_writes_the_snapshot(self, tmp_path):
         snapshot = tmp_path / "state.json"

@@ -18,7 +18,12 @@ from csrflab.httpcore import (
     set_header,
 )
 from csrflab import transport as transport_module
-from csrflab.transport import ConnectionFailed, TcpTransport, read_http_message
+from csrflab.transport import (
+    MAX_MESSAGE_PART,
+    ConnectionFailed,
+    TcpTransport,
+    read_http_message,
+)
 
 PM_PAIRS = [
     ("recip", "user1"),
@@ -163,4 +168,47 @@ def test_trickling_peer_is_cut_off_at_the_exchange_deadline(monkeypatch):
         listener.close()
         thread.join(timeout=10)
     assert elapsed < 1.0
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "response, accepted",
+    [
+        (b"x" * MAX_MESSAGE_PART, True),
+        (b"x" * (MAX_MESSAGE_PART + 1), False),
+        (b"x" * (MAX_MESSAGE_PART - 3) + b"\r\n\r\n", False),
+        (b"x" * (MAX_MESSAGE_PART - 4) + b"\r\n\r\ny", True),
+        # The body has no cap: the forum's /admin/state lists every post.
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * (2 * MAX_MESSAGE_PART + 1), True),
+    ],
+    ids=["cap-without-head-end", "past-cap-without-head-end", "head-ends-past-cap",
+         "head-ends-at-cap", "long-body"],
+)
+def test_a_response_head_is_read_up_to_the_cap(response, accepted):
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def stream():
+        conn, _ = listener.accept()
+        with conn:
+            try:
+                while conn.recv(65536):
+                    pass  # the request, to the client's half-close
+                conn.sendall(response)
+            except OSError:
+                pass  # the client hung up
+
+    request = b"GET / HTTP/1.1\r\nHost: a\r\n\r\n"
+    thread = threading.Thread(target=stream)
+    thread.start()
+    try:
+        if accepted:
+            received = TcpTransport().exchange("127.0.0.1", port, request)
+            assert received == response, f"{len(received)} of {len(response)} bytes"
+        else:
+            with pytest.raises(ConnectionFailed, match="head over the cap"):
+                TcpTransport().exchange("127.0.0.1", port, request)
+    finally:
+        listener.close()
+        thread.join(timeout=10)
     assert not thread.is_alive()

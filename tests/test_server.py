@@ -164,6 +164,40 @@ def test_connection_failed_on_dead_port():
         TcpTransport().exchange("127.0.0.1", dead_port, b"x")
 
 
+def test_connect_is_under_the_exchange_deadline(monkeypatch):
+    monkeypatch.setattr(transport_module, "EXCHANGE_TIMEOUT", 0.3)
+    outcome = []
+
+    def exchange(port):
+        started = time.monotonic()
+        try:
+            TcpTransport().exchange("127.0.0.1", port, b"GET / HTTP/1.1\r\nHost: a\r\n\r\n")
+        except ConnectionFailed:
+            outcome.append(time.monotonic() - started)
+
+    # A listener that never accepts, its one-connection backlog taken:
+    # the kernel leaves the next handshake unanswered.
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        port = listener.getsockname()[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5):
+            # A connect with no deadline would block for minutes; the
+            # join bounds the test instead.
+            thread = threading.Thread(target=exchange, args=(port,), daemon=True)
+            thread.start()
+            thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(outcome) == 1 and outcome[0] < 1.0
+
+
+def test_a_host_name_reaches_a_lab_server(lab_server):
+    server = lab_server()
+    request = make_request(HttpMethod.GET, f"{server.base_url()}/cgi-bin/Forum/index.php")
+    response = TcpTransport().exchange("localhost", server.port, serialize(request))
+    assert parse_response(response).status == 200
+
+
 def test_snapshot_written_on_stop(lab_server, tmp_path, transport):
     path = tmp_path / "state.json"
     server = lab_server(snapshot=str(path))
