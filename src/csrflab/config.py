@@ -15,7 +15,7 @@ Command-line flags override file values, which override the defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .forum import DEFAULT_ADMIN_TOKEN, DEFAULT_SEED, DefenseMode
 
@@ -24,17 +24,13 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class LabConfig:
+class LabConfig(NamedTuple):
     bind: str = "127.0.0.1"
     port: int = 8080
     policy: DefenseMode = DefenseMode.NONE
     seed: int = DEFAULT_SEED
     admin_token: str = DEFAULT_ADMIN_TOKEN
     snapshot: str | None = None
-
-
-_KEYS = tuple(f.name for f in fields(LabConfig))
 
 
 def parse_config_text(text: str) -> dict:
@@ -48,7 +44,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in LabConfig._fields:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -60,9 +56,8 @@ def build_config(file_values: dict | None = None, **overrides) -> LabConfig:
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
-    config = LabConfig()
     for key, value in merged.items():
-        if key not in _KEYS:
+        if key not in LabConfig._fields:
             raise ConfigError(f"unknown config key {key!r}")
         if key in ("port", "seed"):
             try:
@@ -75,8 +70,8 @@ def build_config(file_values: dict | None = None, **overrides) -> LabConfig:
             except ValueError:
                 names = ", ".join(m.value for m in DefenseMode)
                 raise ConfigError(f"policy must be one of {names}, got {value!r}")
-        setattr(config, key, value)
-    return config
+        merged[key] = value
+    return LabConfig(**merged)
 
 
 def load_config(path: str) -> dict:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .httpcore import BadUrl, HttpResponse, RequestUri, authority, get_header_values, parse_url
 
@@ -48,8 +48,7 @@ class SameSite(str, enum.Enum):
     STRICT = "Strict"
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     """A document origin: either web (scheme, host, port) or opaque.
 
     Local files, packaged assets, and raw-data documents all get opaque
@@ -100,24 +99,31 @@ def _check_cookie_value(value: str) -> None:
         raise ValueError(f"illegal character in cookie value {value!r}")
 
 
-@dataclass(frozen=True)
-class Cookie:
+class _CookieFields(NamedTuple):
     name: str
     value: str
     domain: str
     path: str = "/"
     same_site: SameSite = SameSite.NONE
 
-    def __post_init__(self) -> None:
+
+class Cookie(_CookieFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Cookie:
+        self = super().__new__(cls, *args, **kwargs)
         _check_cookie_name(self.name)
         _check_cookie_value(self.value)
         if not self.path.startswith("/"):
             raise ValueError(f"cookie path must begin with '/': {self.path!r}")
+        return self
 
 
-@dataclass
 class CookieStore:
-    entries: list[Cookie] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: list[Cookie] = []
 
 
 def parse_set_cookie(header_value: str, host: str) -> Cookie:

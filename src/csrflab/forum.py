@@ -28,7 +28,7 @@ import logging
 import os
 import tempfile
 import threading
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .httpcore import (
     HttpMethod,
@@ -75,17 +75,17 @@ class PostKind(str, enum.Enum):
     PRIVATE_MESSAGE = "private_message"
 
 
-@dataclass(frozen=True)
-class Deny:
+class Deny(NamedTuple):
     reason: str
 
 
-@dataclass
 class TokenSource:
     """Deterministic hex-token generator: sha256 of seed and counter."""
 
-    seed: int
-    counter: int = 0
+    __slots__ = ("seed", "counter")
+
+    def __init__(self, seed: int, counter: int = 0) -> None:
+        self.seed, self.counter = seed, counter
 
     def next_token(self) -> str:
         token = hashlib.sha256(f"{self.seed}:{self.counter}".encode()).hexdigest()[:32]
@@ -93,22 +93,20 @@ class TokenSource:
         return token
 
 
-@dataclass
-class User:
+class User(NamedTuple):
     username: str
     salt: str
     password_digest: str
 
 
-@dataclass
 class SessionRecord:
-    session_id: str
-    username: str
-    csrf_token: str | None = None
+    __slots__ = ("session_id", "username", "csrf_token")
+
+    def __init__(self, session_id: str, username: str, csrf_token: str | None = None) -> None:
+        self.session_id, self.username, self.csrf_token = session_id, username, csrf_token
 
 
-@dataclass
-class PostRecord:
+class PostRecord(NamedTuple):
     kind: PostKind
     sender: str
     recipient: str | None
@@ -438,8 +436,14 @@ class ForumApp:
             "seed": self.tokens.seed,
             "token_counter": self.tokens.counter,
             "next_seq": len(self.posts) + 1,
-            "users": [asdict(user) for user in self.users.values()],
-            "sessions": [asdict(session) for session in self.sessions.values()],
+            "users": [
+                {"username": u.username, "salt": u.salt, "password_digest": u.password_digest}
+                for u in self.users.values()
+            ],
+            "sessions": [
+                {"session_id": s.session_id, "username": s.username, "csrf_token": s.csrf_token}
+                for s in self.sessions.values()
+            ],
             "posts": [post.to_dict() for post in self.posts],
         }
 

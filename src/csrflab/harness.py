@@ -31,7 +31,7 @@ import enum
 import json
 import tempfile
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__, client, fixtures
 from .config import LabConfig
@@ -74,19 +74,22 @@ class ScenarioId(str, enum.Enum):
     A4_FORGED_CLIENT = "A4"
 
 
-@dataclass
 class AttackOutcome:
-    scenario: ScenarioId
-    defense: DefenseMode
-    spoof: bool
-    success: bool
-    http_status: int
-    evidence: list[dict]
-    notes: str
-    # Server state around the attack step, for audits; not part of the
-    # report schema.
-    state_before: dict | None = field(default=None, repr=False)
-    state_after: dict | None = field(default=None, repr=False)
+    __slots__ = (
+        "scenario", "defense", "spoof", "success", "http_status", "evidence", "notes",
+        "state_before", "state_after",
+    )
+
+    def __init__(
+        self, scenario: ScenarioId, defense: DefenseMode, spoof: bool, success: bool,
+        http_status: int, evidence: list[dict], notes: str,
+        state_before: dict | None = None, state_after: dict | None = None,
+    ) -> None:
+        self.scenario, self.defense, self.spoof, self.success = scenario, defense, spoof, success
+        self.http_status, self.evidence, self.notes = http_status, evidence, notes
+        # Server state around the attack step, for audits; not part of
+        # the report schema.
+        self.state_before, self.state_after = state_before, state_after
 
     def to_cell(self) -> dict:
         return {
@@ -100,8 +103,7 @@ class AttackOutcome:
         }
 
 
-@dataclass
-class MatrixReport:
+class MatrixReport(NamedTuple):
     grid: list[AttackOutcome]
     seed: int
 
@@ -173,8 +175,7 @@ def verify_outcome(
 # ------------------------------------------------------------------- lab
 
 
-@dataclass(frozen=True)
-class Lab:
+class Lab(NamedTuple):
     """Where the cells of one run send their requests.  mount is the
     object whose .app each cell assigns: the ForumServer over TCP, the
     InProcessTransport in-process.  asset_root holds attack_form.html,
@@ -285,8 +286,7 @@ def _body_excerpt(response) -> str:
 # ------------------------------------------------------------- scenarios
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     """One row: title is that of the forged post whose presence proves
     success; expected maps each (defense, spoof) cell, in matrix order,
     to (success, status of the attack's own request)."""

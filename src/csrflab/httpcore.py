@@ -63,7 +63,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 
@@ -114,8 +114,7 @@ def authority(host: str, port: int) -> str:
     return host if port == 80 else f"{host}:{port}"
 
 
-@dataclass(frozen=True)
-class RequestUri:
+class RequestUri(NamedTuple):
     """Parsed request target: scheme, host, optional port, path, query.
 
     Network URIs (http) carry a non-empty host; file/asset URIs have an
@@ -205,34 +204,55 @@ _HEADER_NAME = re.compile(r"[!-9;-~]+")
 _ILLEGAL_IN_VALUE = re.compile(r"[^\x00-\x09\x0b\x0c\x0e-\xff]")
 
 
-@dataclass(frozen=True)
-class Header:
-    """One header line.  Names match case-insensitively, print as stored."""
-
+class _HeaderFields(NamedTuple):
     name: str
     value: str
 
-    def __post_init__(self) -> None:
-        if not _HEADER_NAME.fullmatch(self.name):
-            raise IllegalHeader(f"illegal header name {self.name!r}")
-        if _ILLEGAL_IN_VALUE.search(self.value):
-            raise IllegalHeader(f"illegal octet in header value {self.value!r}")
+
+class Header(_HeaderFields):
+    """One header line.  Names match case-insensitively, print as stored."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, value: str) -> Header:
+        if not _HEADER_NAME.fullmatch(name):
+            raise IllegalHeader(f"illegal header name {name!r}")
+        if _ILLEGAL_IN_VALUE.search(value):
+            raise IllegalHeader(f"illegal octet in header value {value!r}")
+        return super().__new__(cls, name, value)
 
 
-@dataclass
-class HttpRequest:
-    method: HttpMethod
-    uri: RequestUri
-    headers: list[Header] = field(default_factory=list)
-    body: bytes = b""
+class _Message:
+    """Equal to a message of its own class with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-@dataclass
-class HttpResponse:
-    status: int = 200
-    reason: str = "OK"
-    headers: list[Header] = field(default_factory=list)
-    body: bytes = b""
+class HttpRequest(_Message):
+    __slots__ = ("method", "uri", "headers", "body")
+
+    def __init__(
+        self, method: HttpMethod, uri: RequestUri, headers: list[Header] | None = None,
+        body: bytes = b"",
+    ) -> None:
+        self.method, self.uri, self.body = method, uri, body
+        self.headers = [] if headers is None else headers
+
+
+class HttpResponse(_Message):
+    __slots__ = ("status", "reason", "headers", "body")
+
+    def __init__(
+        self, status: int = 200, reason: str = "OK", headers: list[Header] | None = None,
+        body: bytes = b"",
+    ) -> None:
+        self.status, self.reason, self.body = status, reason, body
+        self.headers = [] if headers is None else headers
 
 
 Message = HttpRequest | HttpResponse

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import base64
 import binascii
-import dataclasses
 import functools
 import logging
 import re
-from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from . import client
@@ -113,25 +112,35 @@ class ReentrantLoad(Exception):
     """Load operation attempted from inside the navigation hook."""
 
 
-@dataclass(frozen=True)
-class HtmlForm:
+class HtmlForm(NamedTuple):
     action: str
     method: HttpMethod = HttpMethod.GET
     id: str | None = None
     fields: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass
 class DocumentContext:
     """A parsed page: its origin, its forms, and its auto-submit, if any."""
 
-    origin: Origin
-    forms: list[HtmlForm] = field(default_factory=list)
-    # Form selector: a str is an element id, an int indexes document.forms.
-    auto_submit: int | str | None = None
+    __slots__ = ("origin", "forms", "auto_submit")
+
+    def __init__(
+        self, origin: Origin, forms: list[HtmlForm] | None = None,
+        auto_submit: int | str | None = None,
+    ) -> None:
+        self.origin = origin
+        self.forms = [] if forms is None else forms
+        # Form selector: a str is an element id, an int indexes document.forms.
+        self.auto_submit = auto_submit
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.origin, self.forms, self.auto_submit) == (
+            other.origin, other.forms, other.auto_submit
+        )
 
 
-@dataclass
 class LoadResult:
     """What one emulator operation did.
 
@@ -142,11 +151,15 @@ class LoadResult:
     the navigation before any bytes hit the wire.
     """
 
-    status: int | None = None
-    response: HttpResponse | None = None
-    document: DocumentContext | None = None
-    overridden: bool = False
-    submission: "LoadResult | None" = None
+    __slots__ = ("status", "response", "document", "overridden", "submission")
+
+    def __init__(
+        self, status: int | None = None, response: HttpResponse | None = None,
+        overridden: bool = False,
+    ) -> None:
+        self.status, self.response, self.overridden = status, response, overridden
+        self.document: DocumentContext | None = None
+        self.submission: LoadResult | None = None
 
     def deepest(self) -> "LoadResult":
         """The last load of the auto-submit chain this one started."""
@@ -528,5 +541,5 @@ class WebViewInstance:
             if name not in names:
                 raise NoSuchField(f"form has no field named {name!r}")
             fields[names.index(name)] = (name, value)
-        filled = dataclasses.replace(form, fields=tuple(fields))
+        filled = form._replace(fields=tuple(fields))
         return self.submit_form(filled, initiator=self.current_document.origin)

@@ -361,9 +361,15 @@ def test_same_seed_replays_identically():
 
 def test_snapshot_round_trip(tmp_path):
     app = _scripted_run(42)
+    session = list(app.sessions.values())[0]
+    pairs = [("csrf_token", session.csrf_token)] + ATTACK_PM_PAIRS
+    cookie = f"session_id={session.session_id}"
+    assert _post(app, "/cgi-bin/Forum/new_pm.php", pairs, cookie=cookie).status == 302
     path = tmp_path / "state.json"
     app.save_snapshot(str(path))
     clone = ForumApp.load_snapshot(str(path))
+    assert clone.snapshot() == app.snapshot()
+    assert len(clone.posts) == 1
     assert clone.admin_state() == app.admin_state()
     assert clone.tokens.next_token() == app.tokens.next_token()
     cookie = f"session_id={list(app.sessions)[0]}"

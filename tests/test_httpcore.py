@@ -5,6 +5,7 @@ from urllib.parse import quote_plus
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csrflab.cookies import Cookie, Origin
 from csrflab.httpcore import (
     _parse_header_block,
     _request_head,
@@ -34,6 +35,7 @@ from csrflab.httpcore import (
     serialize,
     set_header,
 )
+from csrflab.webview import HtmlForm
 from test_forum import _MUTATION, _mutate
 
 # ---------------------------------------------------------------- parsing
@@ -416,6 +418,30 @@ def test_parses_of_one_head_get_their_own_header_lists():
         assert get_header(second, "X-Test") == "one"
         assert get_header(second, "X-New") is None
         assert parse(raw) == second
+
+
+_SHARED_GET = b"GET /x?q=1 HTTP/1.1\r\nHost: a\r\nX-Test: one\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: parse_request(_SHARED_GET).headers[1], "value"),
+        (lambda: parse_request(_SHARED_GET).uri, "path"),
+        (lambda: parse_url("http://a.example/x"), "host"),
+        (lambda: Origin.web("http", "a.example", 80), "host"),
+        (lambda: Cookie("session_id", "abc", "a.example"), "value"),
+        (lambda: HtmlForm("http://a.example/x"), "fields"),
+    ],
+    ids=["parsed-Header", "parsed-RequestUri", "parse_url", "Origin", "Cookie", "HtmlForm"],
+)
+def test_shared_values_reject_assignment(make, field):
+    """A memo or a constant hands one value to many callers, so none may
+    change it: not a field, and not a new attribute."""
+    value = make()
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, "changed")
 
 
 def test_inputs_that_raise_raise_on_every_call():
