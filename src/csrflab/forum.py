@@ -357,6 +357,12 @@ class ForumApp:
         self._create_post(kind, session.username, recipient, fields["title"], fields["message"])
         return make_response(302, headers=[("Location", f"{FORUM_ROOT}/index.php")])
 
+    def _handle_form_page(self, request: HttpRequest, form: str) -> HttpResponse:
+        session = self._session_from_cookie(request)
+        if session is None:
+            return _text_response(401, "login required")
+        return _html_response(self._form_page(request, form, session))
+
     def _handle_admin_state(self, request: HttpRequest) -> HttpResponse:
         auth = get_header(request, "Authorization")
         if auth != f"Bearer {self.admin_token}":
@@ -383,32 +389,33 @@ class ForumApp:
         with self._lock:
             return self._route(request)
 
+    # One handler per (method, path), each called with the app and the request.
+    _ROUTES = {
+        (HttpMethod.POST, f"{FORUM_ROOT}/register.php"):
+            lambda app, request: app._with_credentials(request, app._handle_register),
+        (HttpMethod.POST, f"{FORUM_ROOT}/login.php"):
+            lambda app, request: app._with_credentials(request, app._handle_login),
+        (HttpMethod.GET, f"{FORUM_ROOT}/login.php"):
+            lambda app, request: _html_response(app.login_page(app._own_origin(request))),
+        (HttpMethod.GET, f"{FORUM_ROOT}/index.php"):
+            lambda app, request: _html_response(app.index_page()),
+        (HttpMethod.GET, f"{FORUM_ROOT}/new_topic_form.php"):
+            lambda app, request: app._handle_form_page(request, "new_topic"),
+        (HttpMethod.GET, f"{FORUM_ROOT}/new_pm_form.php"):
+            lambda app, request: app._handle_form_page(request, "new_pm"),
+        (HttpMethod.POST, f"{FORUM_ROOT}/new_topic.php"):
+            lambda app, request: app._handle_post_action(request, PostKind.TOPIC),
+        (HttpMethod.POST, f"{FORUM_ROOT}/new_pm.php"):
+            lambda app, request: app._handle_post_action(request, PostKind.PRIVATE_MESSAGE),
+        (HttpMethod.GET, "/admin/state"):
+            lambda app, request: app._handle_admin_state(request),
+    }
+
     def _route(self, request: HttpRequest) -> HttpResponse:
-        key = (request.method, request.uri.path)
-        if key == (HttpMethod.POST, f"{FORUM_ROOT}/register.php"):
-            return self._with_credentials(request, self._handle_register)
-        if key == (HttpMethod.POST, f"{FORUM_ROOT}/login.php"):
-            return self._with_credentials(request, self._handle_login)
-        if key == (HttpMethod.GET, f"{FORUM_ROOT}/login.php"):
-            return _html_response(self.login_page(self._own_origin(request)))
-        if key == (HttpMethod.GET, f"{FORUM_ROOT}/index.php"):
-            return _html_response(self.index_page())
-        if key in (
-            (HttpMethod.GET, f"{FORUM_ROOT}/new_topic_form.php"),
-            (HttpMethod.GET, f"{FORUM_ROOT}/new_pm_form.php"),
-        ):
-            session = self._session_from_cookie(request)
-            if session is None:
-                return _text_response(401, "login required")
-            form = "new_pm" if request.uri.path.endswith("new_pm_form.php") else "new_topic"
-            return _html_response(self._form_page(request, form, session))
-        if key == (HttpMethod.POST, f"{FORUM_ROOT}/new_topic.php"):
-            return self._handle_post_action(request, PostKind.TOPIC)
-        if key == (HttpMethod.POST, f"{FORUM_ROOT}/new_pm.php"):
-            return self._handle_post_action(request, PostKind.PRIVATE_MESSAGE)
-        if key == (HttpMethod.GET, "/admin/state"):
-            return self._handle_admin_state(request)
-        return _text_response(404, f"no route for {request.method.value} {request.uri.path}")
+        handler = self._ROUTES.get((request.method, request.uri.path))
+        if handler is None:
+            return _text_response(404, f"no route for {request.method.value} {request.uri.path}")
+        return handler(self, request)
 
     def handle_raw(self, raw: bytes) -> bytes:
         """Byte-level contract shared by the TCP server and the

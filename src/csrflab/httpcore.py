@@ -21,33 +21,60 @@ serialize encodes the start line and header lines in one piece; Latin-1
 is one byte per character, so both match a per-line codec exactly, and
 each Header still checks itself.
 
-A lab replays the same traffic in every cell, so the pure text parsers
-are memoized per distinct text with functools.lru_cache:
+A lab replays the same traffic in every cell, so both directions of the
+codec are memoized per distinct input with functools.lru_cache:
 
 - a request head (start line and header lines), 32 entries, each the
   method, the RequestUri, a tuple of frozen Headers and the declared
   Content-Length; framed_body_size reads its length from the same memo;
 - a response head, 32 entries: the status, the reason, the Headers and
   the declared Content-Length;
-- parse_url, 16 entries, each a frozen RequestUri.
+- parse_url, 16 entries, each a frozen RequestUri;
+- _header, 64 entries: each Header that make_request, make_response and
+  set_header build, one per (name, value); a Header is frozen, so every
+  message can share it;
+- _request_headers and _response_headers, 64 entries each: the Headers
+  make_request and make_response build, keyed on every input but the
+  method and the body bytes (the body's length stands for them);
+- _head_bytes, 64 entries: the head serialize writes, keyed on the start
+  line and the tuple of Headers; the body is appended on every call.
 
-The memos are exact: each reads nothing but its text and returns
+The memos are exact: each reads nothing but its arguments and returns
 immutable values, and an input that raises is not cached, so it raises
 on every call, with the same error.  A hit still checks the body
 against the declared length, and every message gets its own header
-list, so set_header never reaches a memo.  make_request and
-make_response share one Connection: close Header and a small memo of
-Content-Type Headers; a Header is frozen, so sharing it is exact.
+list, so set_header never reaches a memo.  The form codec has two exact
+fast paths instead of a memo: a component of letters, digits and
+``*-._`` encodes to itself, and an ASCII one without ``%`` or ``+``
+decodes to itself.
 
-An entry pins its text and the strings parsed from it, about twice the
-text (MAX_HEADER_LINES keeps a head's Headers near that size).  The
-server reads a request head of at most about MAX_MESSAGE_PART (1 MiB,
-transport), and a Referer it parses is part of one, so at worst the
-request memo pins 32 x 2 MiB = 64 MiB and the URL memo 16 x 2 MiB =
-32 MiB (tracemalloc read 64.0 MiB for 32 heads of 1 MiB).  The client
-reads a response to its end, so a response head is as long as the
-peer makes it: 32 of 1 MiB also pin 64 MiB, and the forum's own heads
-are under 1 KiB.
+What each memo pins at worst, its entries times its longest entry:
+
+- request heads: an entry pins its text and the strings parsed from it,
+  about twice the text (MAX_HEADER_LINES keeps a head's Headers near
+  that size).  The server reads a request head of at most about
+  MAX_MESSAGE_PART (1 MiB, transport): 32 x 2 MiB = 64 MiB (tracemalloc
+  read 64.0 MiB for 32 heads of 1 MiB);
+- response heads: the client reads a head of at most MAX_MESSAGE_PART,
+  so also 64 MiB; the forum's own heads are under 1 KiB;
+- parse_url: the server parses a Referer, part of a request head, so
+  16 x 2 MiB = 32 MiB; the client parses the URLs it is given and the
+  form actions of the pages it loads, and a page body has no cap;
+- _header: a value the client builds is an authority or an origin (at
+  most a 1 MiB Location's), or a Cookie value, which joins every cookie
+  the store holds for the URL, and the store has no cap; at 1 MiB values
+  64 x 1 MiB = 64 MiB.  The longest in a matrix is 78 bytes;
+- _request_headers and _response_headers: an entry pins its inputs and
+  the Headers built from them, about twice the inputs.  A request's URL
+  and header values are as long as the callers make them: a Location's
+  URL is at most 1 MiB, so 64 x 2 MiB = 128 MiB at 1 MiB inputs.  The
+  forum's responses carry only their own short values.  The longest
+  entries in a matrix are 175 and 250 characters;
+- _head_bytes: an entry pins the start line and the bytes, about twice
+  the head (its Headers are shared with the messages and _header).  A
+  request head the client builds carries its URL's target and its Cookie
+  value, so at 1 MiB heads 64 x 2 MiB = 128 MiB.  The longest in a
+  matrix is 237 bytes.
 
 Bodies are raw bytes end to end.  The form codec uses the
 x-www-form-urlencoded convention: letters, digits and ``*-._`` pass
@@ -287,19 +314,17 @@ def set_header(message: Message, name: str, value: str) -> Message:
     lname = name.lower() if name.isascii() else None
     for i, header in enumerate(message.headers):
         if header.name.lower() == lname:
-            message.headers[i] = Header(header.name, value)
+            message.headers[i] = _header(header.name, value)
             return message
-    message.headers.append(Header(name, value))
+    message.headers.append(_header(name, value))
     return message
 
 
-# Headers are frozen, so every message can share these.
-_CONNECTION_CLOSE = Header("Connection", "close")
-
-
-@functools.lru_cache(maxsize=8)
-def _content_type(value: str) -> Header:
-    return Header("Content-Type", value)
+@functools.lru_cache(maxsize=64)
+def _header(name: str, value: str) -> Header:
+    """The checked Header for name and value, one per distinct pair: a
+    Header is frozen, so every message can share it."""
+    return Header(name, value)
 
 
 def make_request(
@@ -314,23 +339,30 @@ def make_request(
     Adds Host, Connection: close, optional Content-Type, and a
     Content-Length matching the body.  Raises BadUrl for non-http URLs.
     """
+    uri, built = _request_headers(url, tuple(headers or ()), content_type, len(body))
+    return HttpRequest(method=method, uri=uri, headers=list(built), body=body)
+
+
+@functools.lru_cache(maxsize=64)
+def _request_headers(
+    url: str, headers: tuple[tuple[str, str], ...], content_type: str | None, size: int
+) -> tuple[RequestUri, tuple[Header, ...]]:
+    """The URI and the Headers make_request builds for a body of size bytes."""
     uri = parse_url(url)
     if uri.scheme != "http":
         raise BadUrl(f"requests need an http URL, got {url!r}")
-    request = HttpRequest(method=method, uri=uri)
-    request.headers.append(Header("Host", authority(uri.host, uri.port)))
-    for name, value in headers or []:
+    request = HttpRequest(method=HttpMethod.GET, uri=uri)
+    request.headers.append(_header("Host", authority(uri.host, uri.port)))
+    for name, value in headers:
         set_header(request, name, value)
     present = {header.name.lower() for header in request.headers}
     if content_type is not None and "content-type" not in present:
-        request.headers.append(_content_type(content_type))
+        request.headers.append(_header("Content-Type", content_type))
     if "connection" not in present:
-        request.headers.append(_CONNECTION_CLOSE)
-    if body:
-        request.body = body
-        if "content-length" not in present:
-            request.headers.append(Header("Content-Length", str(len(body))))
-    return request
+        request.headers.append(_header("Connection", "close"))
+    if size and "content-length" not in present:
+        request.headers.append(_header("Content-Length", str(size)))
+    return uri, tuple(request.headers)
 
 
 def make_response(
@@ -340,17 +372,23 @@ def make_response(
     content_type: str | None = None,
 ) -> HttpResponse:
     """Build a response with the fixed reason phrase for its status."""
+    built = _response_headers(status, tuple(headers or ()), content_type, len(body))
+    return HttpResponse(status, REASON_PHRASES[status], list(built), body)
+
+
+@functools.lru_cache(maxsize=64)
+def _response_headers(
+    status: int, headers: tuple[tuple[str, str], ...], content_type: str | None, size: int
+) -> tuple[Header, ...]:
+    """The Headers make_response builds for a body of size bytes."""
     if status not in REASON_PHRASES:
         raise ValueError(f"status {status} outside the lab subset")
-    response = HttpResponse(status=status, reason=REASON_PHRASES[status])
-    for name, value in headers or []:
-        response.headers.append(Header(name, value))
+    built = [_header(name, value) for name, value in headers]
     if content_type is not None:
-        response.headers.append(_content_type(content_type))
-    response.headers.append(_CONNECTION_CLOSE)
-    response.headers.append(Header("Content-Length", str(len(body))))
-    response.body = body
-    return response
+        built.append(_header("Content-Type", content_type))
+    built.append(_header("Connection", "close"))
+    built.append(_header("Content-Length", str(size)))
+    return tuple(built)
 
 
 def _split_head(raw: bytes) -> tuple[str, bytes]:
@@ -537,20 +575,32 @@ def serialize(message: Message) -> bytes:
         start = f"{message.method.value} {message.uri.target()} {HTTP_VERSION}"
     else:
         start = f"{HTTP_VERSION} {message.status} {message.reason}"
+    return _head_bytes(start, tuple(message.headers)) + message.body
+
+
+@functools.lru_cache(maxsize=64)
+def _head_bytes(start: str, headers: tuple[Header, ...]) -> bytes:
+    """The start line and header lines, through the blank line, as Latin-1."""
     lines = [start]
-    lines += [f"{header.name}: {header.value}" for header in message.headers]
+    lines += [f"{header.name}: {header.value}" for header in headers]
     lines += ["", ""]
-    return "\r\n".join(lines).encode("latin-1") + message.body
+    return "\r\n".join(lines).encode("latin-1")
 
 
 _BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
+_NEEDS_NO_ESCAPE = re.compile(r"[A-Za-z0-9*\-._]*")
 
 
 def _encode_component(text: str) -> str:
+    if _NEEDS_NO_ESCAPE.fullmatch(text):
+        return text
     return quote_plus(text, safe="*").replace("~", "%7E")
 
 
 def _decode_component(text: str) -> str:
+    # Only ASCII passes through: a lone surrogate must reach unquote_to_bytes and raise.
+    if "%" not in text and "+" not in text and text.isascii():
+        return text
     bad = _BAD_ESCAPE.search(text)
     if bad is not None:
         raise MalformedEncoding(f"bad percent escape at offset {bad.start()} in {text!r}")

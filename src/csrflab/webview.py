@@ -13,11 +13,23 @@ inert.  That is all auto-submitting attack pages need, and it keeps the
 attack surface of the lab itself at zero.
 
 A lab loads the same few pages over and over (the login page, the
-attack page), so the html.parser pass is memoized per distinct page
-text: the 16 most recently parsed texts stay referenced with their scan.
-The memo is exact, because the scan is a pure function of the text and
-returns immutable data; resolving actions against the page URL, the
-origin, the auto-submit choice and its warning run on every parse.
+attack page), so two pure functions are memoized with functools.lru_cache:
+
+- _scan, 16 entries: the html.parser pass over a distinct page text, its
+  raw forms and auto-submit selectors.  An entry pins the text and about
+  as much again in parsed strings.  A response body has no cap, so
+  neither has this memo; the longest page in a matrix is 574 characters;
+- _resolve, 16 entries: urljoin of a (base, reference) pair, a form
+  action or a Location against the URL it came with.  An entry pins the
+  two texts and the result, about twice their length: a Location is at
+  most one 1 MiB response head (16 x 4 MiB = 64 MiB with a 1 MiB base),
+  and a form action is as long as the page allows.  The longest entry in
+  a matrix is 135 bytes.
+
+Both are exact, being pure functions that return immutable data, and an
+input that raises is not cached.  Resolving actions against the page
+URL, the origin, the auto-submit choice and its warning run on every
+parse.
 
 Navigation model.  Every network navigation follows up to five 302
 hops.  The navigation hook (the shouldOverrideUrlLoading analog) is
@@ -215,8 +227,10 @@ class _FormScanner(HTMLParser):
             self._script_chunks.append(data)
 
 
+@functools.lru_cache(maxsize=16)
 def _resolve(base: str, reference: str) -> str:
-    """urljoin, with its ValueError (an unbalanced "[") raised as BadUrl."""
+    """urljoin, with its ValueError (an unbalanced "[") raised as BadUrl.
+    Memoized per (base, reference), as parse_url is per text."""
     try:
         return urljoin(base, reference)
     except ValueError as exc:

@@ -157,6 +157,15 @@ def test_form_page_tokenless_under_policy_none():
     assert "csrf_token" not in resp.body.decode()
 
 
+@pytest.mark.parametrize(
+    "page, action", [("new_topic_form.php", "new_topic.php"), ("new_pm_form.php", "new_pm.php")]
+)
+def test_each_form_page_posts_to_its_own_action(page, action):
+    app = _app()
+    resp = app.handle_request(_request(f"/cgi-bin/Forum/{page}", cookie=_login(app)))
+    assert f'action="http://127.0.0.1:8080/cgi-bin/Forum/{action}"' in resp.body.decode()
+
+
 def test_form_page_requires_session():
     app = _app()
     resp = app.handle_request(_request("/cgi-bin/Forum/new_pm_form.php"))
@@ -544,6 +553,32 @@ def test_load_snapshot_rejects_corrupt_files(tmp_path, text):
 def test_unknown_route_404():
     app = _app()
     assert app.handle_request(_request("/nope.php")).status == 404
+
+
+_ROUTED = [
+    (HttpMethod.POST, "/cgi-bin/Forum/register.php", 400),
+    (HttpMethod.POST, "/cgi-bin/Forum/login.php", 400),
+    (HttpMethod.GET, "/cgi-bin/Forum/login.php", 200),
+    (HttpMethod.GET, "/cgi-bin/Forum/index.php", 200),
+    (HttpMethod.GET, "/cgi-bin/Forum/new_topic_form.php", 401),
+    (HttpMethod.GET, "/cgi-bin/Forum/new_pm_form.php", 401),
+    (HttpMethod.POST, "/cgi-bin/Forum/new_topic.php", 401),
+    (HttpMethod.POST, "/cgi-bin/Forum/new_pm.php", 401),
+    (HttpMethod.GET, "/admin/state", 401),
+]
+
+
+@pytest.mark.parametrize("method, path, status", _ROUTED)
+def test_each_route_answers_only_its_own_method(method, path, status):
+    app = _app()
+    pairs = [] if method is HttpMethod.POST else None
+    assert app.handle_request(_request(path, method, pairs=pairs)).status == status
+    # A method no route takes gets the 404, pinned byte for byte.
+    text = f"no route for PUT {path}".encode()
+    assert serialize(app.handle_request(_request(path, HttpMethod.PUT))) == (
+        b"HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\n"
+        b"Connection: close\r\nContent-Length: %d\r\n\r\n%s" % (len(text), text)
+    )
 
 
 # ---------------------------------------------------------------- config

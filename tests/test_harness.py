@@ -1,12 +1,15 @@
 """Harness tests: victim login, outcome verification, and the matrix."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import tempfile
 
 import pytest
 
+import csrflab
 from csrflab import client, cookies, harness
 from csrflab.forum import DefenseMode, ForumApp
 from csrflab.harness import (
@@ -32,6 +35,23 @@ from csrflab.webview import WebViewInstance
 from conftest import seed_users, wire_get
 
 SESSION_COOKIE = re.compile(r"^session_id=[0-9a-f]{32}$")
+
+
+def _memos_in_src() -> dict:
+    """Every functools.lru_cache memo that src/csrflab defines, module-level
+    or on a class, found by its cache_info attribute, by qualified name."""
+    memos = {}
+    for info in pkgutil.iter_modules(csrflab.__path__):
+        module = importlib.import_module(f"csrflab.{info.name}")
+        owners = [module] + [
+            value for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for value in vars(owner).values():
+                if hasattr(value, "cache_info") and value.__module__.startswith("csrflab."):
+                    memos[f"{value.__module__}.{value.__qualname__}"] = value
+    return memos
 
 
 def _logged_in_view(server, hook=True):
@@ -348,6 +368,29 @@ class TestMatrix:
 
     def test_json_is_reproducible(self):
         assert run_matrix(in_process=True).to_json() == run_matrix(in_process=True).to_json()
+
+    def test_replayed_matrices_never_miss_a_memo(self):
+        # In-process only: over TCP each matrix listens on a new port, so
+        # its URLs and Host headers are new text every time.
+        memos = _memos_in_src()
+        assert {
+            "csrflab.httpcore._header",
+            "csrflab.httpcore._head_bytes",
+            "csrflab.httpcore._request_headers",
+            "csrflab.httpcore._response_headers",
+            "csrflab.httpcore._request_head",
+            "csrflab.httpcore._response_head",
+            "csrflab.httpcore.parse_url",
+            "csrflab.webview._resolve",
+            "csrflab.webview._scan",
+        } <= set(memos)
+        seeds = (1337, 7, 42)
+        for seed in seeds:
+            run_matrix(seed, in_process=True)
+        misses = {name: memo.cache_info().misses for name, memo in memos.items()}
+        for seed in seeds:
+            run_matrix(seed, in_process=True)
+        assert {name: memo.cache_info().misses for name, memo in memos.items()} == misses
 
     def test_timestamps_stay_out_of_the_report(self):
         report = run_matrix(in_process=True)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csrflab.cookies import Cookie, Origin
+from csrflab import httpcore
 from csrflab.httpcore import (
+    _header,
     _parse_header_block,
     _request_head,
     _response_head,
@@ -83,6 +85,8 @@ def test_parse_request_post_with_body_and_query():
         b"GET /x HTTP/1.1\r\nHost: a\r\n\r\nstray-body",
         b"GET /x HTTP/1.1\r\nHost: 127.0.0.1:0\r\n\r\n",  # ports parse_url refuses
         b"GET /x HTTP/1.1\r\nHost: 127.0.0.1:99999\r\n\r\n",
+        b"GET /x HTTP/1.1\r\nHost: \r\n\r\n",  # empty Host
+        b"GET /x HTTP/1.1\r\nHost: :8080\r\n\r\n",
         # Over 4,300 digits int() raises ValueError, not MalformedMessage.
         pytest.param(
             b"GET /x HTTP/1.1\r\nHost: a:" + b"8" * 5000 + b"\r\n\r\n", id="port-5000-digits"
@@ -682,6 +686,101 @@ def test_make_response_round_trips():
     assert parse_response(serialize(resp)) == resp
 
 
+@pytest.mark.parametrize("status", [201, 304, 418, 503])
+def test_make_response_refuses_a_status_outside_the_subset(status):
+    with pytest.raises(ValueError, match=f"status {status} outside the lab subset"):
+        make_response(status)
+
+
+@pytest.mark.parametrize("url", ["asset:///attack_form.html", "file:///tmp/page.html"])
+def test_make_request_refuses_a_url_that_is_not_http(url):
+    with pytest.raises(BadUrl, match="requests need an http URL"):
+        make_request(HttpMethod.GET, url)
+
+
+_ILLEGAL_BUILDS = [
+    lambda: make_response(200, headers=[("X-Bad", "a\r\nInjected: 1")]),
+    lambda: make_response(200, headers=[("Bad Name", "v")]),
+    lambda: make_response(200, content_type="text/html\n"),
+    lambda: make_request(HttpMethod.GET, "http://a/", headers=[("X-Bad", "a\rb")]),
+    lambda: set_header(make_request(HttpMethod.GET, "http://a/"), "Host", "a\nb"),
+    lambda: set_header(HttpResponse(), "X:Colon", "v"),
+]
+
+
+@pytest.mark.parametrize("build", _ILLEGAL_BUILDS)
+def test_an_illegal_header_raises_on_every_call_and_is_never_memoized(build):
+    _header.cache_clear()
+    with pytest.raises(IllegalHeader):
+        build()
+    held = _header.cache_info().currsize
+    for calls in range(1, 4):
+        with pytest.raises(IllegalHeader):
+            build()
+        info = _header.cache_info()
+        # The build's legal headers hit; the illegal one misses again and stays out.
+        assert (info.currsize, info.misses) == (held, held + 1 + calls)
+
+
+def test_a_header_memo_hit_is_the_identical_frozen_header():
+    _header.cache_clear()
+    first = make_response(302, headers=[("Location", "/x")], body=b"ab", content_type="text/plain")
+    second = make_response(302, headers=[("Location", "/x")], body=b"cd", content_type="text/plain")
+    assert first.headers is not second.headers
+    assert all(a is b for a, b in zip(first.headers, second.headers, strict=True))
+    request = make_request(HttpMethod.POST, "http://a/", [("Connection", "close")], body=b"ab")
+    assert request.headers[1] is first.headers[2]  # Connection: close
+    assert request.headers[2] is first.headers[3]  # Content-Length: 2
+    # The second response hit the memo of whole response heads, so only
+    # the request's Connection and Content-Length hit this one.
+    info = _header.cache_info()
+    assert (info.hits, info.misses) == (2, 5)
+    with pytest.raises(AttributeError):
+        first.headers[0].value = "/y"
+
+
+def test_builds_of_one_head_get_their_own_header_lists():
+    for build in (
+        lambda: make_request(HttpMethod.POST, "http://a/", [("X-Test", "one")], body=b"ab"),
+        lambda: make_response(200, [("X-Test", "one")], body=b"ab", content_type="text/plain"),
+    ):
+        first, second = build(), build()
+        assert first.headers is not second.headers
+        set_header(first, "X-Test", "two")
+        set_header(first, "X-New", "three")
+        assert get_header(second, "X-Test") == "one"
+        assert get_header(second, "X-New") is None
+        assert build() == second
+
+
+@pytest.mark.parametrize("content_type", [None, "text/plain", "application/json"])
+@pytest.mark.parametrize("body", [b"", b"x", b"xy"])
+def test_builds_carry_their_own_content_type_and_length(content_type, body):
+    # The cases share the builders' memos, so a key that left out an
+    # input would hand one case an earlier case's headers.
+    request = make_request(HttpMethod.POST, "http://a/", body=body, content_type=content_type)
+    response = make_response(200, body=body, content_type=content_type)
+    for message in (request, response):
+        assert get_header(message, "Content-Type") == content_type
+        assert message.body == body
+    assert get_header(request, "Content-Length") == (str(len(body)) if body else None)
+    assert get_header(response, "Content-Length") == str(len(body))
+
+
+def test_a_head_bytes_memo_hit_still_appends_each_body():
+    httpcore._head_bytes.cache_clear()
+    first = make_response(200, body=b"ab")
+    second = make_response(200, body=b"cd")
+    assert serialize(first) == serialize(HttpResponse(200, "OK", list(first.headers), b"ab"))
+    assert serialize(second).endswith(b"\r\n\r\ncd")
+    assert serialize(first).endswith(b"\r\n\r\nab")
+    info = httpcore._head_bytes.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    set_header(first, "X-Test", "1")
+    assert serialize(first).endswith(b"X-Test: 1\r\n\r\nab")
+    assert b"X-Test" not in serialize(second)
+
+
 # ------------------------------------------------------------------ urls
 
 
@@ -863,6 +962,16 @@ def test_decoder_agrees_with_the_character_loop(text):
     got = _outcome(form_urldecode, f"k={text}")
     want = _outcome(_oracle_decode_component, text)
     assert got == ([("k", want)] if isinstance(want, str) else want)
+
+
+@pytest.mark.parametrize("text", ["", "aZ09*-._", "a+b", "%41", "\xe9t\xe9", "\ud800", "~"])
+def test_the_codec_fast_paths_agree_with_the_loops(text):
+    # Text the fast paths return as it is, and text just outside them; a
+    # lone surrogate still raises in both directions.
+    want = _outcome(_oracle_encode_component, text)
+    assert _outcome(form_urlencode, [("k", text)]) == (f"k={want}" if isinstance(want, str) else want)
+    want = _outcome(_oracle_decode_component, text)
+    assert _outcome(form_urldecode, f"k={text}") == ([("k", want)] if isinstance(want, str) else want)
 
 
 @given(st.text(max_size=30).filter(lambda s: "~" not in s))
