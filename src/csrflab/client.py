@@ -18,7 +18,7 @@ from .httpcore import (
     parse_response,
     serialize,
 )
-from .transport import TcpTransport, Transport
+from .transport import InProcessTransport, TcpTransport
 
 
 def build(
@@ -40,7 +40,9 @@ def build(
     )
 
 
-def execute(request: HttpRequest, transport: Transport | None = None) -> HttpResponse:
+def execute(
+    request: HttpRequest, transport: TcpTransport | InProcessTransport | None = None
+) -> HttpResponse:
     """One exchange, response parsed, no redirect following."""
     transport = transport or TcpTransport()
     uri = request.uri

@@ -31,6 +31,7 @@ import threading
 from typing import NamedTuple
 
 from .httpcore import (
+    BadUrl,
     HttpMethod,
     HttpRequest,
     HttpResponse,
@@ -84,8 +85,8 @@ class TokenSource:
 
     __slots__ = ("seed", "counter")
 
-    def __init__(self, seed: int, counter: int = 0) -> None:
-        self.seed, self.counter = seed, counter
+    def __init__(self, seed: int) -> None:
+        self.seed, self.counter = seed, 0
 
     def next_token(self) -> str:
         token = hashlib.sha256(f"{self.seed}:{self.counter}".encode()).hexdigest()[:32]
@@ -130,10 +131,8 @@ def _digest(salt: str, password: str) -> str:
     return hashlib.sha256((salt + ":" + password).encode()).hexdigest()
 
 
-def _text_response(status: int, text: str, headers=None) -> HttpResponse:
-    return make_response(
-        status, headers=headers, body=text.encode(), content_type="text/plain; charset=utf-8"
-    )
+def _text_response(status: int, text: str) -> HttpResponse:
+    return make_response(status, body=text.encode(), content_type="text/plain; charset=utf-8")
 
 
 def _html_response(body_html: str) -> HttpResponse:
@@ -230,7 +229,7 @@ class ForumApp:
                     return Deny("bad_origin")
                 try:
                     origin = parse_url(referer).origin_text()
-                except Exception:
+                except BadUrl:
                     return Deny("bad_origin")
             if origin.strip().lower() != self._own_origin(request):
                 return Deny("bad_origin")

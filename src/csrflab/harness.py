@@ -36,13 +36,13 @@ from typing import NamedTuple
 from . import __version__, client, fixtures
 from .config import LabConfig
 from .forum import DEFAULT_SEED, FORUM_ROOT, DefenseMode, ForumApp
-from .httpcore import HttpMethod, set_header
+from .httpcore import HttpMethod, MalformedMessage, set_header
 
 # Sent through client.execute; still imported because the benchmark's
 # tracer (perfbench/tracing.py) wraps them by this module's name.
 from .httpcore import form_urlencode, make_request, parse_response, serialize  # noqa: F401
 from .server import ForumServer
-from .transport import InProcessTransport, TcpTransport, Transport
+from .transport import ConnectionFailed, InProcessTransport, TcpTransport
 from .webview import WebViewInstance
 
 VICTIM = "sohini"
@@ -182,7 +182,7 @@ class Lab(NamedTuple):
     the packaged attack page that A1 loads.  seed is the token stream
     seed of every cell's ForumApp."""
 
-    transport: Transport
+    transport: TcpTransport | InProcessTransport
     base_url: str
     mount: ForumServer | InProcessTransport
     asset_root: str
@@ -216,7 +216,10 @@ def _register_users(lab: Lab) -> None:
             f"{lab.base_url}{FORUM_ROOT}/register.php",
             [("username", username), ("password", password)],
         )
-        response = client.execute(request, lab.transport)
+        try:
+            response = client.execute(request, lab.transport)
+        except (ConnectionFailed, MalformedMessage) as exc:
+            raise ScenarioSetupFailed(f"registration of {username!r} failed: {exc}") from exc
         if response.status != 302:
             raise ScenarioSetupFailed(
                 f"registration of {username!r} answered {response.status}"
@@ -229,7 +232,10 @@ def _admin_state(lab: Lab, admin_token: str) -> dict:
         f"{lab.base_url}/admin/state",
         headers=[("Authorization", f"Bearer {admin_token}")],
     )
-    response = client.execute(request, lab.transport)
+    try:
+        response = client.execute(request, lab.transport)
+    except (ConnectionFailed, MalformedMessage) as exc:
+        raise ScenarioSetupFailed(f"admin state fetch failed: {exc}") from exc
     if response.status != 200:
         raise ScenarioSetupFailed(f"admin state endpoint answered {response.status}")
     return json.loads(response.body)

@@ -1,10 +1,11 @@
 """Request/response transports: loopback TCP and in-process dispatch.
 
-Both transports implement the same contract: complete request bytes in,
-complete response bytes out, one exchange per call (Connection: close).
-TCP is the default and the acceptance mode; the in-process transport
-wires callers straight into a ForumApp's byte-level handler for the
-in-process matrix and for tests that want no sockets involved.
+Both transports have one method and no base class: exchange(host, port,
+raw) takes complete request bytes and returns complete response bytes,
+one exchange per call (Connection: close).  TCP is the default and the
+acceptance mode; the in-process transport wires callers straight into a
+ForumApp's byte-level handler for the in-process matrix and for tests
+that want no sockets involved.
 
 Both frame a request by one rule before ForumApp.handle_raw sees it:
 the head, then as many body bytes as httpcore.framed_body_size reads
@@ -37,17 +38,12 @@ class ConnectionFailed(Exception):
     """The peer could not be reached or the exchange did not complete."""
 
 
-class Transport:
-    def exchange(self, host: str, port: int, raw: bytes) -> bytes:
-        raise NotImplementedError
-
-
 EXCHANGE_TIMEOUT = 5.0
 # Bounds the head and, separately, the body of one message.
 MAX_MESSAGE_PART = 1 << 20
 
 
-class TcpTransport(Transport):
+class TcpTransport:
     """One TCP connection per exchange, connected to the IPv4 address
     with no resolver call for a dotted quad (see the module docstring).
     The connect, the send and every recv share one EXCHANGE_TIMEOUT
@@ -130,7 +126,7 @@ def _message_size(data, head_end: int) -> int:
     return head_end + 4 + min(framed_body_size(data[: head_end + 4]), MAX_MESSAGE_PART)
 
 
-class InProcessTransport(Transport):
+class InProcessTransport:
     """Direct dispatch into a ForumApp, same bytes-in/bytes-out contract."""
 
     def __init__(self, app) -> None:

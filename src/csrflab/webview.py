@@ -80,7 +80,7 @@ from .httpcore import (
 # Sent through client.execute; still imported because the benchmark's
 # tracer (perfbench/tracing.py) wraps them by this module's name.
 from .httpcore import parse_response, serialize  # noqa: F401
-from .transport import TcpTransport, Transport
+from .transport import InProcessTransport, TcpTransport
 
 logger = logging.getLogger(__name__)
 
@@ -136,14 +136,12 @@ class DocumentContext:
 
     __slots__ = ("origin", "forms", "auto_submit")
 
-    def __init__(
-        self, origin: Origin, forms: list[HtmlForm] | None = None,
-        auto_submit: int | str | None = None,
-    ) -> None:
+    def __init__(self, origin: Origin, forms: list[HtmlForm] | None = None) -> None:
         self.origin = origin
         self.forms = [] if forms is None else forms
         # Form selector: a str is an element id, an int indexes document.forms.
-        self.auto_submit = auto_submit
+        # parse_html sets it only to a selector that resolves to a form.
+        self.auto_submit: int | str | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -337,7 +335,7 @@ class WebViewInstance:
 
     def __init__(
         self,
-        transport: Transport | None = None,
+        transport: TcpTransport | InProcessTransport | None = None,
         asset_root: str | None = None,
         internet_permitted: bool = True,
     ) -> None:
@@ -439,8 +437,6 @@ class WebViewInstance:
         if document.auto_submit is None:
             return None
         form = resolve_form(document, document.auto_submit)
-        if form is None:  # pragma: no cover - parse_html only keeps resolvable ones
-            return None
         if self._auto_depth >= _MAX_AUTO_SUBMITS:
             logger.warning("auto-submit depth limit reached; not submitting %s", form.action)
             return None
@@ -460,8 +456,6 @@ class WebViewInstance:
         uri = parse_url(url)
         if uri.scheme == "http":
             return self._navigate(HttpMethod.GET, url, b"", None, initiator=None)
-        if uri.scheme not in ("asset", "file"):
-            raise BadUrl(f"load_url supports http, file, and asset URLs, got {url!r}")
         document = parse_html(self._read_local(uri), origin=Origin.opaque_origin(), url=url)
         return self._land(LoadResult(), document)
 

@@ -14,7 +14,7 @@ from csrflab import cli, harness
 from csrflab.forum import DefenseMode
 from csrflab.harness import AttackOutcome, MatrixReport, ScenarioId, ScenarioSetupFailed
 from csrflab.httpcore import HttpMethod, make_request, parse_response, serialize
-from csrflab.transport import TcpTransport
+from csrflab.transport import ConnectionFailed, TcpTransport
 
 
 def test_version_flag(capsys):
@@ -40,6 +40,11 @@ class TestFixturesCommand:
         assert "http://127.0.0.1:8080/cgi-bin/Forum/new_pm.php" in attack_page
         assert (tmp_path / "fx" / "login_form.html").exists()
         assert (tmp_path / "fx" / "index.html").exists()
+
+    def test_a_directory_under_a_regular_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        assert cli.main(["fixtures", "--emit", str(tmp_path / "plain" / "fx")]) == 2
+        assert capsys.readouterr().err.startswith("csrf-lab: ")
 
 
 class TestAttackCommand:
@@ -140,6 +145,28 @@ class TestMatrixCommand:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
         assert cli.main(["matrix"]) == 2
         assert capsys.readouterr().err.startswith("csrf-lab: cannot set up the lab: ")
+
+
+def _refuse(transport, host, port, raw):
+    raise ConnectionFailed(f"{host}:{port}: refused")
+
+
+def _garble(transport, host, port, raw):
+    return b"not an HTTP response"
+
+
+@pytest.mark.parametrize("exchange", [_refuse, _garble], ids=["refused", "garbled"])
+@pytest.mark.parametrize(
+    "argv",
+    [["matrix"], ["attack", "--scenario", "A3", "--policy", "none"]],
+    ids=["matrix", "attack"],
+)
+def test_a_server_that_cannot_be_used_is_a_setup_error(argv, exchange, monkeypatch, capsys):
+    # The first set-up step, registration, cannot get an answer: exit 2
+    # (setup broke), never 1 (the grid diverged) with a traceback.
+    monkeypatch.setattr(TcpTransport, "exchange", exchange)
+    assert cli.main(argv) == 2
+    assert "registration of 'sohini' failed: " in capsys.readouterr().err
 
 
 def _default_sigint():

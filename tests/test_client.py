@@ -23,6 +23,7 @@ from csrflab.transport import (
     ConnectionFailed,
     TcpTransport,
     read_http_message,
+    recv_until,
 )
 
 PM_PAIRS = [
@@ -171,20 +172,31 @@ def test_trickling_peer_is_cut_off_at_the_exchange_deadline(monkeypatch):
     assert not thread.is_alive()
 
 
+def test_a_recv_after_the_deadline_raises_at_once():
+    # Whether the trickling peer above is cut off here or by a recv
+    # timeout depends on the clock; this pins the check itself.
+    left, right = socket.socketpair()
+    with left, right:
+        recv = recv_until(left, time.monotonic())
+        with pytest.raises(TimeoutError, match="deadline passed"):
+            recv(1)
+
+
 @pytest.mark.parametrize(
-    "response, accepted",
+    "response, error",
     [
-        (b"x" * MAX_MESSAGE_PART, True),
-        (b"x" * (MAX_MESSAGE_PART + 1), False),
-        (b"x" * (MAX_MESSAGE_PART - 3) + b"\r\n\r\n", False),
-        (b"x" * (MAX_MESSAGE_PART - 4) + b"\r\n\r\ny", True),
+        (b"x" * MAX_MESSAGE_PART, None),
+        (b"x" * (MAX_MESSAGE_PART + 1), "head over the cap"),
+        (b"x" * (MAX_MESSAGE_PART - 3) + b"\r\n\r\n", "head over the cap"),
+        (b"x" * (MAX_MESSAGE_PART - 4) + b"\r\n\r\ny", None),
         # The body has no cap: the forum's /admin/state lists every post.
-        (b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * (2 * MAX_MESSAGE_PART + 1), True),
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * (2 * MAX_MESSAGE_PART + 1), None),
+        (b"", "closed without a response"),
     ],
     ids=["cap-without-head-end", "past-cap-without-head-end", "head-ends-past-cap",
-         "head-ends-at-cap", "long-body"],
+         "head-ends-at-cap", "long-body", "no-response"],
 )
-def test_a_response_head_is_read_up_to_the_cap(response, accepted):
+def test_a_response_head_is_read_up_to_the_cap(response, error):
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
 
@@ -202,11 +214,11 @@ def test_a_response_head_is_read_up_to_the_cap(response, accepted):
     thread = threading.Thread(target=stream)
     thread.start()
     try:
-        if accepted:
+        if error is None:
             received = TcpTransport().exchange("127.0.0.1", port, request)
             assert received == response, f"{len(received)} of {len(response)} bytes"
         else:
-            with pytest.raises(ConnectionFailed, match="head over the cap"):
+            with pytest.raises(ConnectionFailed, match=error):
                 TcpTransport().exchange("127.0.0.1", port, request)
     finally:
         listener.close()

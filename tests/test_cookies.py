@@ -131,6 +131,21 @@ def test_get_cookie_rejects_non_http(url):
         get_cookie(CookieStore(), url)
 
 
+@pytest.mark.parametrize("url", ["file:///etc/x", "asset:///a.html"])
+def test_store_from_response_rejects_non_http(url):
+    store = CookieStore()
+    response = make_response(200, headers=[("Set-Cookie", "s=1")])
+    with pytest.raises(BadUrl):
+        store_from_response(store, parse_url(url), response)
+    assert store.entries == []
+
+
+@pytest.mark.parametrize("value", ["x;y", "x\ny", "x\r"])
+def test_cookie_rejects_an_illegal_value(value):
+    with pytest.raises(ValueError, match="illegal character in cookie value"):
+        Cookie(name="s", value=value, domain="forum.local")
+
+
 FORUM = Origin.web("http", "forum.local", 8080)
 EVIL = Origin.web("http", "evil.local", 80)
 OPAQUE = Origin.opaque_origin()
@@ -140,6 +155,9 @@ def test_origin_serialization():
     assert FORUM.serialize() == "http://forum.local:8080"
     assert EVIL.serialize() == "http://evil.local"
     assert OPAQUE.serialize() == "null"
+    assert Origin.from_uri(parse_url("http://Forum.local:8080/x")) == FORUM
+    for url in ["file:///tmp/page.html", "asset:///attack_form.html"]:
+        assert Origin.from_uri(parse_url(url)) == OPAQUE
 
 
 def test_origin_same_site_rules():

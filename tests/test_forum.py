@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csrflab import forum
 from csrflab.config import ConfigError, build_config, parse_config_text
 from csrflab.forum import (
     BadUsername,
@@ -86,6 +87,11 @@ def test_register_duplicate_and_bad_names():
     for bad in ["", "has space", "x" * 33, "semi;colon"]:
         with pytest.raises(BadUsername):
             app.register(bad, "pw")
+    # Over HTTP, each is a 400 that names the exception.
+    for name, answer in [("sohini", b"DuplicateUser: sohini"), ("has space", b"BadUsername")]:
+        resp = _post(app, "/cgi-bin/Forum/register.php", [("username", name), ("password", "pw")])
+        assert resp.status == 400 and resp.body.startswith(answer)
+    assert list(app.users) == ["sohini"]
 
 
 def test_login_sets_cookie_policy_none():
@@ -204,6 +210,28 @@ def test_check_defenses_origin_rules():
     assert verdict([("Referer", "http://127.0.0.1:8080/cgi-bin/Forum/new_pm_form.php")]) is None
     assert verdict([("Referer", "http://evil.local/x")]) == Deny("bad_origin")
     assert verdict([("Referer", "not a url")]) == Deny("bad_origin")
+    assert verdict([("Referer", "http://[::1/x")]) == Deny("bad_origin")
+
+
+def test_a_fault_in_the_referer_check_is_a_500_not_a_denial(monkeypatch, caplog):
+    # check_defenses catches only the BadUrl of a Referer that is no
+    # URL; any other exception is a bug, answered 500 and logged.
+    app = _app(policy=DefenseMode.ORIGIN_CHECK)
+    cookie = _login(app)
+
+    def broken(text):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(forum, "parse_url", broken)
+    request = _request(
+        "/cgi-bin/Forum/new_pm.php", HttpMethod.POST, pairs=ATTACK_PM_PAIRS, cookie=cookie,
+        headers=[("Referer", "http://127.0.0.1:8080/")],
+    )
+    with caplog.at_level("ERROR", logger="csrflab.forum"):
+        response = parse_response(app.handle_raw(serialize(request)))
+    assert response.status == 500
+    assert "RuntimeError: injected" in caplog.text
+    assert app.posts == []
 
 
 # ---------------------------------------------------------------- posts
@@ -263,9 +291,16 @@ def test_new_pm_requires_session_and_fields():
     app = _app()
     assert _post(app, "/cgi-bin/Forum/new_pm.php", ATTACK_PM_PAIRS).status == 401
     cookie = _login(app)
+    # A Cookie header without session_id is no session, even with one open.
+    assert _post(app, "/cgi-bin/Forum/new_pm.php", ATTACK_PM_PAIRS, cookie="theme=dark").status == 401
     resp = _post(app, "/cgi-bin/Forum/new_pm.php", [("title", "t")], cookie=cookie)
     assert resp.status == 400
     assert b"recip" in resp.body
+    request = _request("/cgi-bin/Forum/new_pm.php", HttpMethod.POST, cookie=cookie)
+    request.body = b"title=%ZZ"
+    resp = app.handle_request(request)
+    assert (resp.status, resp.body) == (400, b"malformed body")
+    assert app.posts == []
 
 
 def test_new_topic_policy_none():
@@ -601,7 +636,7 @@ def test_build_config_merges_and_coerces():
 
 @pytest.mark.parametrize(
     "text",
-    ["what is this", "mystery = 1", "port = eleven"],
+    ["what is this", "mystery = 1", "port = eleven", "policy = bogus"],
 )
 def test_config_errors(text):
     with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import tempfile
@@ -15,6 +16,7 @@ from csrflab.forum import DefenseMode, ForumApp
 from csrflab.harness import (
     PEER,
     VICTIM,
+    AttackOutcome,
     CookieCapture,
     LoginFailed,
     NoCookieCaptured,
@@ -28,8 +30,9 @@ from csrflab.harness import (
     verify_outcome,
     victim_login,
 )
+from csrflab.httpcore import make_response, serialize
 from csrflab.server import ForumServer
-from csrflab.transport import InProcessTransport, TcpTransport
+from csrflab.transport import ConnectionFailed, InProcessTransport, TcpTransport
 from csrflab.webview import WebViewInstance
 
 from conftest import seed_users, wire_get
@@ -241,6 +244,57 @@ class TestRunScenario:
         with pytest.raises(ScenarioSetupFailed):
             run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE)
 
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            (serialize(make_response(404)), "answered 404"),
+            (ConnectionFailed("refused"), "failed: refused"),
+            (b"not an HTTP response", "failed: "),
+        ],
+        ids=["404", "refused", "garbled"],
+    )
+    @pytest.mark.parametrize(
+        "target, step",
+        [
+            (b"POST /cgi-bin/Forum/register.php ", "registration of 'sohini'"),
+            (b"GET /admin/state ", "admin state"),
+        ],
+        ids=["register", "admin-state"],
+    )
+    def test_a_setup_step_without_a_usable_answer_fails_setup(
+        self, lab, monkeypatch, target, step, answer, message
+    ):
+        exchange = InProcessTransport.exchange
+
+        def answer_target(transport, host, port, raw):
+            if not raw.startswith(target):
+                return exchange(transport, host, port, raw)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr(InProcessTransport, "exchange", answer_target)
+        with pytest.raises(ScenarioSetupFailed, match=f"^{step} .*{message}"):
+            run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE)
+
+    @pytest.mark.parametrize(
+        "page, message",
+        [
+            ("<html>no form here</html>", "attack step crashed: the attack never produced"),
+            (None, "attack step crashed: .*attack_form.html"),
+        ],
+        ids=["no-request", "no-page"],
+    )
+    def test_an_attack_step_that_breaks_fails_setup(self, lab, page, message):
+        attack_page = f"{lab.asset_root}/attack_form.html"
+        if page is None:
+            os.remove(attack_page)  # load_url raises AssetNotFound
+        else:
+            with open(attack_page, "w", encoding="utf-8") as fh:
+                fh.write(page)
+        with pytest.raises(ScenarioSetupFailed, match=message):
+            run_scenario(lab, ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE)
+
     @pytest.mark.parametrize("scenario", list(ScenarioId))
     def test_every_exchange_goes_through_client_execute(self, lab, scenario, monkeypatch):
         # One request path: registration, login, redirect hops, the
@@ -411,9 +465,15 @@ class TestMatrix:
         report = run_matrix(in_process=True)
         report.grid[0].success = False
         dropped = report.grid.pop()
+        report.grid.append(
+            AttackOutcome(ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE, True, True, 302, [], "")
+        )
         problems = harness.compare_with_expected(report)
         assert any("expected" in p for p in problems)
         assert any("missing cell" in p for p in problems)
+        assert [p for p in problems if "('A1', 'none', True)" in p] == [
+            "unexpected cell ('A1', 'none', True)"
+        ]
         report.grid.append(dropped)
 
     def test_expected_grid_shape(self):

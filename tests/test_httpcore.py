@@ -589,6 +589,17 @@ def test_framed_body_size(lines, size):
     assert framed_body_size(b"POST /x HTTP/1.1\r\nHost: a\r\n" + lines + b"\r\n") == size
 
 
+def test_framed_body_size_of_a_head_without_its_end_is_zero():
+    assert framed_body_size(b"POST /x HTTP/1.1\r\nContent-Length: 27\r\n") == 0
+
+
+def test_a_request_never_equals_a_response():
+    request = make_request(HttpMethod.GET, "http://a/x")
+    response = make_response(200)
+    assert request.__eq__(response) is NotImplemented
+    assert request != response and response != request
+
+
 def _head_bytes(message):
     """The head of a message as sent, up to and with its blank line."""
     raw = serialize(message)
@@ -820,6 +831,9 @@ def test_parse_url_local_schemes():
         # No server listens on port 0; it must not become port 80.
         "http://127.0.0.1:0/x",
         "http://127.0.0.1:00/x",
+        # A local document has no host.
+        "file://host/tmp/x",
+        "asset://host/a.html",
     ],
 )
 def test_parse_url_rejects(url):

@@ -16,15 +16,17 @@ from csrflab.fixtures import (
     CANONICAL_ACTION,
     attack_form_html,
 )
-from csrflab.forum import DefenseMode, PostKind
-from csrflab.httpcore import BadUrl, HttpMethod, make_response, serialize
+from csrflab.forum import DefenseMode, ForumApp, PostKind
+from csrflab.httpcore import BadUrl, HttpMethod, get_header, make_response, serialize
 from csrflab import webview
-from csrflab.transport import InProcessTransport, TcpTransport, Transport
+from csrflab.transport import InProcessTransport, TcpTransport
 from csrflab.webview import (
     AssetEscape,
     AssetNotFound,
     MAX_REDIRECTS,
     BadEncoding,
+    DocumentContext,
+    HtmlForm,
     NoSuchField,
     NoSuchForm,
     PermissionDenied,
@@ -39,7 +41,7 @@ from csrflab.webview import (
 OPAQUE = Origin.opaque_origin()
 
 
-class RecordingTransport(Transport):
+class RecordingTransport:
     def __init__(self, inner):
         self.inner = inner
         self.requests = []
@@ -123,6 +125,15 @@ def test_parse_unresolvable_selector_dropped(caplog):
         )
     assert doc.auto_submit is None
     assert "matches no form" in caplog.text
+    caplog.clear()
+    # An index past the last form resolves to nothing either.
+    with caplog.at_level(logging.WARNING, logger="csrflab.webview"):
+        doc = parse_html(
+            '<form action="http://a/x"></form><script>document.forms[1].submit()</script>',
+            origin=OPAQUE,
+        )
+    assert doc.auto_submit is None
+    assert "selector 1 matches no form" in caplog.text
 
 
 def test_parse_input_type_rules():
@@ -154,10 +165,18 @@ def test_parse_drops_unusable_forms():
         '<form id="a"></form>'
         '<form id="b" action="ftp://x/y"></form>'
         '<form id="c" action="/relative-without-base"></form>'
-        '<form id="d" action="http://ok/x"></form>',
+        '<form id="d" action="http://ok/x"></form>'
+        '<form id="e" action="asset:///page.html"></form>',
         origin=OPAQUE,
     )
     assert [f.id for f in doc.forms] == ["d"]
+
+
+def test_a_document_is_never_equal_to_another_type():
+    doc = DocumentContext(origin=OPAQUE)
+    assert doc == DocumentContext(origin=OPAQUE)
+    assert doc.__eq__(OPAQUE) is NotImplemented
+    assert doc != OPAQUE
 
 
 def test_parse_drops_forms_whose_action_has_a_bad_host():
@@ -325,6 +344,8 @@ def test_asset_path_traversal_rejected(tmp_path):
 def test_asset_missing_and_unconfigured(tmp_path):
     with pytest.raises(AssetNotFound):
         WebViewInstance(asset_root=str(tmp_path)).load_url("asset:///nope.html")
+    with pytest.raises(AssetNotFound, match="empty asset path"):
+        WebViewInstance(asset_root=str(tmp_path)).load_url("asset:///")
     with pytest.raises(AssetNotFound):
         WebViewInstance().load_url("asset:///nope.html")
 
@@ -341,6 +362,42 @@ def test_load_url_file_scheme(tmp_path):
 def test_load_url_rejects_unknown_scheme():
     with pytest.raises(BadUrl):
         WebViewInstance().load_url("gopher://x/y")
+
+
+def test_post_url_and_submit_form_check_the_url_first():
+    # Before the permission gate, and before the hook sees the URL.
+    hooked = []
+    view = WebViewInstance(internet_permitted=False)
+    view.set_navigation_hook(lambda url: hooked.append(url) and False)
+    with pytest.raises(BadUrl, match="post_url needs an http URL"):
+        view.post_url("file:///tmp/x", b"a=1")
+    form = HtmlForm(action="asset:///page.html", method=HttpMethod.POST)
+    with pytest.raises(BadUrl, match="form action must be an absolute http URL"):
+        view.submit_form(form, initiator=OPAQUE)
+    assert hooked == []
+
+
+class _AutoSubmitApp:
+    """Answers every request with a page whose form submits itself."""
+
+    def __init__(self):
+        self.requests = []
+
+    def handle_raw(self, raw):
+        self.requests.append(raw)
+        page = '<form id="f" action="/next"></form><script>document.forms[0].submit()</script>'
+        return serialize(make_response(200, body=page.encode(), content_type="text/html"))
+
+
+def test_a_chain_of_auto_submitting_pages_stops_at_the_depth_limit(caplog):
+    app = _AutoSubmitApp()
+    view = WebViewInstance(transport=InProcessTransport(app))
+    with caplog.at_level(logging.WARNING, logger="csrflab.webview"):
+        result = view.load_url("http://127.0.0.1:8080/start")
+    # The first page, then one request per auto-submit up to the limit.
+    assert len(app.requests) == 1 + webview._MAX_AUTO_SUBMITS
+    assert result.deepest().status == 200
+    assert "auto-submit depth limit reached; not submitting http://127.0.0.1:8080/next" in caplog.text
 
 
 class _RedirectLoopApp:
@@ -651,6 +708,22 @@ def test_hook_fires_on_redirect_not_initial_load(lab_server):
     # No cookie yet at submit time; fresh session cookie visible on the hop.
     assert seen[0][1] is None
     assert seen[1][1] is not None and seen[1][1].startswith("session_id=")
+
+
+def test_hook_override_on_a_redirect_hop_stops_there():
+    app = ForumApp()
+    app.register("sohini", "pw")
+    view = WebViewInstance(transport=RecordingTransport(InProcessTransport(app)))
+    view.load_url("http://127.0.0.1:8080/cgi-bin/Forum/login.php")
+    view.set_navigation_hook(lambda url: url.endswith("/index.php"))
+    result = view.user_submit_form("login-form", [("username", "sohini"), ("password", "pw")])
+    assert result.overridden and result.document is None
+    assert result.status == 302
+    assert get_header(result.response, "Location") == "/cgi-bin/Forum/index.php"
+    assert [raw.split(b"\r\n")[0] for raw in view.transport.requests] == [
+        b"GET /cgi-bin/Forum/login.php HTTP/1.1",
+        b"POST /cgi-bin/Forum/login.php HTTP/1.1",
+    ]
 
 
 def test_hook_fires_before_auto_submission(lab_server, tmp_path):
