@@ -19,6 +19,7 @@ import argparse
 import json
 import signal
 import sys
+from pathlib import Path
 
 from . import __version__, fixtures, harness
 from .config import ConfigError, build_config, load_config
@@ -75,12 +76,11 @@ def _cmd_serve(args) -> int:
     try:
         file_values = load_config(args.config) if args.config else None
         config = build_config(
-            file_values,
-            port=args.port,
-            policy=args.policy,
-            seed=args.seed,
-            snapshot=args.snapshot,
+            file_values, port=args.port, policy=args.policy, seed=args.seed, snapshot=args.snapshot
         )
+        # Found only at shutdown, a missing directory would lose the whole session.
+        if config.snapshot and not Path(config.snapshot).parent.is_dir():
+            raise ConfigError(f"snapshot directory of {config.snapshot!r} does not exist")
     except (ConfigError, OSError) as exc:
         print(f"csrf-lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
@@ -121,7 +121,7 @@ def _cmd_attack(args) -> int:
     except ScenarioSetupFailed as exc:
         print(f"csrf-lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
-    except OSError as exc:  # out of open_lab: no asset directory, or no bind
+    except OSError as exc:  # out of open_lab: no bind
         print(f"csrf-lab: cannot set up the lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
     if args.json:
@@ -151,7 +151,7 @@ def _format_grid(report: harness.MatrixReport) -> str:
 def _cmd_matrix(args) -> int:
     try:
         report = harness.run_matrix(seed=args.seed)
-    except OSError as exc:  # out of open_lab: no asset directory, or no bind
+    except OSError as exc:  # out of open_lab: no bind
         print(f"csrf-lab: cannot set up the lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR
     print(_format_grid(report))

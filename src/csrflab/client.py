@@ -40,10 +40,7 @@ def build(
     )
 
 
-def execute(
-    request: HttpRequest, transport: TcpTransport | InProcessTransport | None = None
-) -> HttpResponse:
+def execute(request: HttpRequest, transport: TcpTransport | InProcessTransport) -> HttpResponse:
     """One exchange, response parsed, no redirect following."""
-    transport = transport or TcpTransport()
     uri = request.uri
     return parse_response(transport.exchange(uri.host, uri.port, serialize(request)))

@@ -63,6 +63,8 @@ def build_config(file_values: dict | None = None, **overrides) -> LabConfig:
                 value = int(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if key == "port" and not 0 <= value <= 65535:
+                raise ConfigError(f"port must be in 0-65535 (0 for ephemeral), got {value}")
         elif key == "policy":
             try:
                 value = DefenseMode(value)

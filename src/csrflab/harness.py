@@ -2,9 +2,10 @@
 
 A run opens one Lab (open_lab), and each cell (run_scenario) mounts a
 fresh ForumApp with the lab's seed on it: on the run's one ForumServer
-over TCP, on an InProcessTransport in-process.  The lab also owns the
-run's one asset directory, where open_lab writes the attack page that
-A1 loads.  No server or browser state crosses cells.  A cell registers
+over TCP, on an InProcessTransport in-process.  The lab also holds the
+attack page, aimed at its base URL, as one string: A1's emulator gets
+it as its packaged asset and A2 loads it as raw data, so a run writes
+no file.  No server or browser state crosses cells.  A cell registers
 a scripted victim, logs it in through a fresh emulator with a
 cookie-capturing navigation hook installed, then fires one attack under
 one defense policy; every request goes out through client.execute.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
-import tempfile
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
@@ -178,14 +178,15 @@ def verify_outcome(
 class Lab(NamedTuple):
     """Where the cells of one run send their requests.  mount is the
     object whose .app each cell assigns: the ForumServer over TCP, the
-    InProcessTransport in-process.  asset_root holds attack_form.html,
-    the packaged attack page that A1 loads.  seed is the token stream
-    seed of every cell's ForumApp."""
+    InProcessTransport in-process.  attack_page is the text of the attack
+    page aimed at base_url: A1 loads it as the packaged asset
+    attack_form.html, A2 as raw data.  seed is the token stream seed of
+    every cell's ForumApp."""
 
     transport: TcpTransport | InProcessTransport
     base_url: str
     mount: ForumServer | InProcessTransport
-    asset_root: str
+    attack_page: str
     seed: int
 
 
@@ -194,19 +195,15 @@ def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab
     """The lab every run_scenario call needs, for one seed.  Over TCP,
     one ephemeral-port ForumServer for the whole run, stopped on exit;
     in-process, dispatch straight into the mounted app.  Either way the
-    lab owns one temporary asset root, holding the attack page aimed at
-    base_url (which every cell shares), removed on exit."""
-    with contextlib.ExitStack() as stack:
-        asset_root = stack.enter_context(tempfile.TemporaryDirectory(prefix="csrf-lab-assets-"))
-        if in_process:
-            transport = mount = InProcessTransport(None)
-            base_url = fixtures.DEFAULT_BASE_URL
-        else:
-            mount = stack.enter_context(ForumServer(LabConfig(port=0, seed=seed)))
-            transport, base_url = TcpTransport(), mount.base_url()
-        with open(f"{asset_root}/attack_form.html", "w", encoding="utf-8") as fh:
-            fh.write(fixtures.attack_form_html(base_url))
-        yield Lab(transport, base_url, mount, asset_root, seed)
+    attack page is built once, for the lab's base_url."""
+    if in_process:
+        transport = InProcessTransport(None)
+        base_url = fixtures.DEFAULT_BASE_URL
+        yield Lab(transport, base_url, transport, fixtures.attack_form_html(base_url), seed)
+        return
+    with ForumServer(LabConfig(port=0, seed=seed)) as server:
+        base_url = server.base_url()
+        yield Lab(TcpTransport(), base_url, server, fixtures.attack_form_html(base_url), seed)
 
 
 def _register_users(lab: Lab) -> None:
@@ -252,9 +249,7 @@ def _load_asset_page(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
 
 
 def _load_raw_data(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
-    result = view.load_data(
-        fixtures.attack_form_html(lab.base_url), "text/html; charset=utf-8", "UTF-8"
-    )
+    result = view.load_data(lab.attack_page, "text/html; charset=utf-8", "UTF-8")
     return _navigation_status(result)
 
 
@@ -391,7 +386,7 @@ def run_scenario(
     spec = SCENARIOS[scenario]
     _register_users(lab)
 
-    view = WebViewInstance(transport=lab.transport, asset_root=lab.asset_root)
+    view = WebViewInstance(lab.transport, {"attack_form.html": lab.attack_page})
     view.set_navigation_hook(CookieCapture(view))
     try:
         stolen_cookie = victim_login(view, lab.base_url, VICTIM, VICTIM_PASSWORD)

@@ -43,12 +43,14 @@ API-initiated requests carry no Origin header and attach cookies as if
 typed into an address bar, Strict ones included; redirect hops reuse
 the initiator of the navigation that produced them.
 
-Landing.  A network response, an asset:/// or file:/// read, and
+Landing.  A network response, an asset:/// lookup, a file:/// read, and
 load_data's raw text all land the same way: the parsed document becomes
 the current page and, when it declares an auto-submit, submits at once.
 Documents landed from local assets, from raw data, and from file paths
-all get opaque origins.  LoadResult.deepest() is the last navigation of
-an auto-submit chain.
+all get opaque origins.  The assets are the app's packaged pages, held
+in memory by name (WebViewInstance(assets=)); only file:/// reads the
+disk.  LoadResult.deepest() is the last navigation of an auto-submit
+chain.
 """
 
 from __future__ import annotations
@@ -94,10 +96,6 @@ class PermissionDenied(Exception):
 
 class AssetNotFound(Exception):
     pass
-
-
-class AssetEscape(Exception):
-    """Asset path tried to climb out of the asset root."""
 
 
 class TooManyRedirects(Exception):
@@ -235,12 +233,6 @@ def _resolve(base: str, reference: str) -> str:
         raise BadUrl(f"cannot resolve {reference!r} against {base}") from exc
 
 
-# What a form or script start tag must begin with.  html.parser opens a
-# tag only on "<" and an ASCII letter and lowercases the name; no other
-# character lowercases to one of these ASCII letters alone.
-_FORM_OR_SCRIPT_TAG = re.compile(r"<(?:form|script)", re.IGNORECASE | re.ASCII)
-
-
 # A raw form is (id, action, method, fields): the action as written, not
 # yet resolved against the page URL, and None when the tag has none.
 _RawForm = tuple[str | None, str | None, HttpMethod, tuple[tuple[str, str], ...]]
@@ -280,20 +272,13 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
     auto-submit pattern that names an existing form wins; selectors that
     resolve to nothing are dropped with a warning.
 
-    Text without "<form" or "<script" (ASCII case-insensitive) returns
-    an empty document without running the tokenizer.  This is exact:
-    with neither tag, the scanner collects no form and no script, so the
-    full parse would return the same empty document and log nothing.
-
-    Other text is tokenized once per distinct text: _scan memoizes the
+    The text is tokenized once per distinct text: _scan memoizes the
     html.parser pass for the 16 most recently parsed texts, which it
-    keeps referenced.  This is exact too: the scan reads nothing but
-    the text and returns immutable data.  Everything that depends on
+    keeps referenced.  This is exact: the scan reads nothing but the
+    text and returns immutable data.  Everything that depends on
     url or origin, and the warning, runs on every call, and each call
     builds its own DocumentContext.
     """
-    if _FORM_OR_SCRIPT_TAG.search(text) is None:
-        return DocumentContext(origin=origin)
     raw_forms, selectors = _scan(text)
 
     forms: list[HtmlForm] = []
@@ -331,16 +316,17 @@ def resolve_form(document: DocumentContext, selector: int | str) -> HtmlForm | N
 
 class WebViewInstance:
     """One emulated WebView: cookie store, optional navigation hook,
-    the current document, and an internet-permission gate."""
+    the current document, and an internet-permission gate.  assets is
+    the app's packaged bundle: asset:///NAME reads assets[NAME]."""
 
     def __init__(
         self,
-        transport: TcpTransport | InProcessTransport | None = None,
-        asset_root: str | None = None,
+        transport: TcpTransport | InProcessTransport,
+        assets: dict[str, str] | None = None,
         internet_permitted: bool = True,
     ) -> None:
-        self.transport = transport or TcpTransport()
-        self.asset_root = asset_root
+        self.transport = transport
+        self.assets = assets or {}
         self.internet_permitted = internet_permitted
         self.cookie_store = CookieStore()
         self.navigation_hook = None
@@ -460,19 +446,14 @@ class WebViewInstance:
         return self._land(LoadResult(), document)
 
     def _read_local(self, uri: RequestUri) -> str:
-        """The text of an asset:/// path under the asset root, or of a
-        file:/// path."""
-        if uri.scheme == "file":
-            target = Path(uri.path)
-        else:
-            if self.asset_root is None:
-                raise AssetNotFound("no asset root configured")
-            relative = uri.path.lstrip("/")
-            if not relative:
-                raise AssetNotFound("empty asset path")
-            if any(part in ("..", "") for part in relative.split("/")):
-                raise AssetEscape(f"asset path {uri.path!r} leaves the asset root")
-            target = Path(self.asset_root) / relative
+        """The text of an asset:/// name in the bundle, or of a file:///
+        path."""
+        if uri.scheme == "asset":
+            name = uri.path.removeprefix("/")
+            if name not in self.assets:
+                raise AssetNotFound(f"no asset named {name!r} in the bundle")
+            return self.assets[name]
+        target = Path(uri.path)
         if not target.is_file():
             raise AssetNotFound(str(target))
         return target.read_text(encoding="utf-8", errors="replace")

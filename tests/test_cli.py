@@ -11,6 +11,7 @@ import time
 import pytest
 
 from csrflab import cli, harness
+from csrflab.config import LabConfig
 from csrflab.forum import DefenseMode
 from csrflab.harness import AttackOutcome, MatrixReport, ScenarioId, ScenarioSetupFailed
 from csrflab.httpcore import HttpMethod, make_request, parse_response, serialize
@@ -79,11 +80,29 @@ class TestAttackCommand:
         assert cli.main(["attack", "--scenario", "A1", "--policy", "none"]) == 2
         assert "injected" in capsys.readouterr().err
 
-    def test_lab_that_cannot_be_set_up_exits_two(self, tmp_path, monkeypatch, capsys):
-        # open_lab cannot make its asset directory.
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    def test_lab_that_cannot_be_set_up_exits_two(self, lab_server, monkeypatch, capsys):
+        _lab_on_a_taken_port(lab_server, monkeypatch)
         assert cli.main(["attack", "--scenario", "A1", "--policy", "none"]) == 2
         assert capsys.readouterr().err.startswith("csrf-lab: cannot set up the lab: ")
+
+    def test_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # Not during the attack step, and not after it.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        seen, attack = [], harness._attack
+        monkeypatch.setattr(
+            harness, "_attack", lambda *args: seen.append(list(tmp_path.iterdir())) or attack(*args)
+        )
+        assert cli.main(["attack", "--scenario", "A1", "--policy", "none"]) == 0
+        assert "attack SUCCEEDED" in capsys.readouterr().out
+        assert seen == [[]]
+        assert list(tmp_path.iterdir()) == []
+
+
+def _lab_on_a_taken_port(lab_server, monkeypatch):
+    """open_lab's server cannot bind: its port is another server's."""
+    taken = lab_server().port
+    monkeypatch.setattr(harness, "LabConfig", lambda port, seed: LabConfig(port=taken, seed=seed))
 
 
 def _dead_cell():
@@ -140,9 +159,8 @@ class TestMatrixCommand:
         assert cli.main(["matrix", "--json", "/nonexistent-dir/report.json"]) == 2
         assert "cannot write report" in capsys.readouterr().err
 
-    def test_lab_that_cannot_be_set_up_exits_two(self, tmp_path, monkeypatch, capsys):
-        # open_lab cannot make its asset directory.
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    def test_lab_that_cannot_be_set_up_exits_two(self, lab_server, monkeypatch, capsys):
+        _lab_on_a_taken_port(lab_server, monkeypatch)
         assert cli.main(["matrix"]) == 2
         assert capsys.readouterr().err.startswith("csrf-lab: cannot set up the lab: ")
 
@@ -196,6 +214,35 @@ class TestServeCommand:
         server = lab_server()
         assert cli.main(["serve", "--port", str(server.port)]) == 2
         assert "cannot bind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, conf", [("70000", None), ("-1", None), (None, "99999")])
+    def test_a_port_out_of_range_exits_two(self, tmp_path, capsys, flag, conf):
+        argv = ["serve"]
+        if flag is not None:
+            argv += ["--port", flag]
+        if conf is not None:
+            (tmp_path / "lab.conf").write_text(f"port = {conf}\n")
+            argv += ["--config", str(tmp_path / "lab.conf")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csrf-lab: port must be in 0-65535")
+        assert err.count("\n") == 1
+
+    def test_a_snapshot_in_a_missing_directory_exits_two_before_serving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def interrupted(server):
+            raise KeyboardInterrupt
+
+        # Were the server to start, it would stop at once and fail to
+        # write the snapshot.
+        monkeypatch.setattr(cli.ForumServer, "serve_blocking", interrupted)
+        snapshot = tmp_path / "missing" / "state.json"
+        assert cli.main(["serve", "--port", "0", "--snapshot", str(snapshot)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("csrf-lab: snapshot directory of ")
+        assert err.count("\n") == 1
 
     def test_foreground_serve_answers_and_stops_cleanly(self, tmp_path):
         snapshot = tmp_path / "state.json"

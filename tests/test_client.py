@@ -75,7 +75,7 @@ def test_forged_pm_with_stolen_cookie(lab_server):
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
     set_header(forged, "Cookie", cookie)
-    response = client.execute(forged)
+    response = client.execute(forged, TcpTransport())
     assert response.status == 302
     post = server.app.posts[0]
     assert (post.sender, post.recipient, post.title) == ("sohini", "user1", "WebViewAttackTitle")
@@ -91,7 +91,7 @@ def test_forged_pm_bypasses_samesite(lab_server):
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
     set_header(forged, "Cookie", cookie)
-    assert client.execute(forged).status == 302
+    assert client.execute(forged, TcpTransport()).status == 302
     assert len(server.app.posts) == 1
 
 
@@ -101,7 +101,7 @@ def test_forged_pm_without_cookie_is_401(lab_server):
     forged = client.build(
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
-    assert client.execute(forged).status == 401
+    assert client.execute(forged, TcpTransport()).status == 401
     assert server.app.posts == []
 
 
@@ -125,7 +125,7 @@ def test_execute_sends_exactly_the_built_headers():
     try:
         forged = client.build(HttpMethod.POST, f"http://127.0.0.1:{port}/x", [("a", "1")])
         set_header(forged, "Cookie", "session_id=stolen")
-        client.execute(forged)
+        client.execute(forged, TcpTransport())
     finally:
         thread.join(timeout=5)
         listener.close()

@@ -3,7 +3,6 @@
 import hashlib
 import importlib
 import json
-import os
 import pkgutil
 import re
 import tempfile
@@ -285,13 +284,14 @@ class TestRunScenario:
         ],
         ids=["no-request", "no-page"],
     )
-    def test_an_attack_step_that_breaks_fails_setup(self, lab, page, message):
-        attack_page = f"{lab.asset_root}/attack_form.html"
+    def test_an_attack_step_that_breaks_fails_setup(self, lab, monkeypatch, page, message):
         if page is None:
-            os.remove(attack_page)  # load_url raises AssetNotFound
+            # A view whose bundle lacks the page: load_url raises AssetNotFound.
+            monkeypatch.setattr(
+                harness, "WebViewInstance", lambda transport, assets: WebViewInstance(transport)
+            )
         else:
-            with open(attack_page, "w", encoding="utf-8") as fh:
-                fh.write(page)
+            lab = lab._replace(attack_page=page)
         with pytest.raises(ScenarioSetupFailed, match=message):
             run_scenario(lab, ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE)
 
@@ -396,21 +396,23 @@ class TestMatrix:
         )
 
     @pytest.mark.parametrize("in_process", [True, False])
-    def test_one_asset_directory_per_run(self, monkeypatch, tmp_path, in_process):
-        # The lab writes the attack page once; every cell's attack sees
-        # that one directory, and none is left after the run.
+    def test_a_run_writes_no_file(self, monkeypatch, tmp_path, in_process):
+        # The attack page lives in memory: with the temporary directory
+        # and the working directory both pointed at an empty one, it
+        # stays empty during every attack step and after the run.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        seen = set()
+        monkeypatch.chdir(tmp_path)
+        seen = []
         original = harness._attack
 
         def listing_attack(*args):
-            seen.update(path.name for path in tmp_path.glob("csrf-lab-assets-*"))
+            seen.append(list(tmp_path.iterdir()))
             return original(*args)
 
         monkeypatch.setattr(harness, "_attack", listing_attack)
         report = run_matrix(in_process=in_process)
         assert harness.compare_with_expected(report) == []
-        assert len(seen) == 1
+        assert seen == [[]] * len(report.grid)
         assert list(tmp_path.iterdir()) == []
 
     def test_cells_on_the_shared_server_start_from_empty_state(self):

@@ -2,7 +2,6 @@
 
 import base64
 import logging
-import re
 from unittest import mock
 
 import pytest
@@ -21,7 +20,6 @@ from csrflab.httpcore import BadUrl, HttpMethod, get_header, make_response, seri
 from csrflab import webview
 from csrflab.transport import InProcessTransport, TcpTransport
 from csrflab.webview import (
-    AssetEscape,
     AssetNotFound,
     MAX_REDIRECTS,
     BadEncoding,
@@ -51,16 +49,14 @@ class RecordingTransport:
         return self.inner.exchange(host, port, raw)
 
 
-def make_view(server, tmp_path=None, recording=False, **kwargs):
+def make_view(server, attack_page=False, recording=False, **kwargs):
+    """A view over TCP; with attack_page, its bundle holds the attack page
+    aimed at server."""
     transport = TcpTransport()
     if recording:
         transport = RecordingTransport(transport)
-    view = WebViewInstance(
-        transport=transport,
-        asset_root=str(tmp_path) if tmp_path is not None else None,
-        **kwargs,
-    )
-    return view
+    bundle = {"attack_form.html": attack_form_html(server.base_url())} if attack_page else None
+    return WebViewInstance(transport, bundle, **kwargs)
 
 
 def login_through_view(view, base_url, username="sohini", password="pw"):
@@ -219,21 +215,6 @@ def _parse_and_log(text, url):
 
 @settings(max_examples=200)
 @given(_markup, st.sampled_from([None, "http://a/page"]))
-def test_parse_without_form_or_script_tag_agrees_with_a_full_scan(text, url):
-    # The early return is exact: where the text has no "<form" or
-    # "<script", a full scan finds no form and no script either.
-    if webview._FORM_OR_SCRIPT_TAG.search(text) is None:
-        scanner = webview._FormScanner()
-        scanner.feed(text)
-        scanner.close()
-        assert scanner.raw_forms == [] and scanner.scripts == []
-    with mock.patch.object(webview, "_FORM_OR_SCRIPT_TAG", re.compile("")):
-        full = _parse_and_log(text, url)
-    assert _parse_and_log(text, url) == full
-
-
-@settings(max_examples=200)
-@given(_markup, st.sampled_from([None, "http://a/page"]))
 def test_parse_memo_agrees_with_an_uncached_scan(text, url):
     # The first parse of text misses the memo and the second hits it;
     # both must give the document and the warnings of a scan that runs
@@ -245,8 +226,7 @@ def test_parse_memo_agrees_with_an_uncached_scan(text, url):
         uncached = _parse_and_log(text, url)
     assert miss == uncached
     assert hit == uncached
-    if webview._FORM_OR_SCRIPT_TAG.search(text) is not None:
-        assert webview._scan.cache_info()[:2] == (1, 1)  # hits, misses
+    assert webview._scan.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_parse_memo_is_not_shared_between_documents():
@@ -287,11 +267,10 @@ def test_parser_totality(text):
 # ------------------------------------------------------------- load_url
 
 
-def test_load_url_asset_attack_form_end_to_end(lab_server, tmp_path):
+def test_load_url_asset_attack_form_end_to_end(lab_server):
     server = lab_server()
     seed_users(server)
-    (tmp_path / "attack_form.html").write_text(attack_form_html(server.base_url()))
-    view = make_view(server, tmp_path)
+    view = make_view(server, attack_page=True)
     login_through_view(view, server.base_url())
 
     result = view.load_url("asset:///attack_form.html")
@@ -325,49 +304,66 @@ def test_load_url_requires_internet_permission(lab_server):
         view.load_url(f"{server.base_url()}/cgi-bin/Forum/index.php")
 
 
-def test_asset_auto_submit_blocked_without_internet(lab_server, tmp_path):
+def test_asset_auto_submit_blocked_without_internet(lab_server):
     server = lab_server()
     seed_users(server)
-    (tmp_path / "attack_form.html").write_text(attack_form_html(server.base_url()))
-    view = make_view(server, tmp_path, internet_permitted=False)
+    view = make_view(server, attack_page=True, internet_permitted=False)
     with pytest.raises(PermissionDenied):
         view.load_url("asset:///attack_form.html")
     assert server.app.posts == []
 
 
-def test_asset_path_traversal_rejected(tmp_path):
-    view = WebViewInstance(asset_root=str(tmp_path))
-    with pytest.raises(AssetEscape):
+def test_asset_path_traversal_rejected(tmp_path, monkeypatch):
+    # An asset name is a key in the bundle, never a path: the file that
+    # the name reaches from the working directory is not read.
+    (tmp_path / "outside.html").write_text(ATTACK_PAGE_HTML)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    view = WebViewInstance(TcpTransport(), {"attack_form.html": ATTACK_PAGE_HTML})
+    with pytest.raises(AssetNotFound, match="'../outside.html'"):
         view.load_url("asset:///../outside.html")
 
 
-def test_asset_missing_and_unconfigured(tmp_path):
-    with pytest.raises(AssetNotFound):
-        WebViewInstance(asset_root=str(tmp_path)).load_url("asset:///nope.html")
-    with pytest.raises(AssetNotFound, match="empty asset path"):
-        WebViewInstance(asset_root=str(tmp_path)).load_url("asset:///")
-    with pytest.raises(AssetNotFound):
-        WebViewInstance().load_url("asset:///nope.html")
+def test_asset_missing_and_unconfigured(tmp_path, monkeypatch):
+    # Also with a file of each name in the working directory.
+    (tmp_path / "nope.html").write_text(ATTACK_PAGE_HTML)
+    monkeypatch.chdir(tmp_path)
+    for assets in (None, {}, {"attack_form.html": ATTACK_PAGE_HTML}):
+        view = WebViewInstance(TcpTransport(), assets)
+        for url in ("asset:///", "asset:///nope.html", "asset:////attack_form.html"):
+            with pytest.raises(AssetNotFound, match="no asset named"):
+                view.load_url(url)
+
+
+def test_asset_is_read_from_the_bundle_by_exact_name():
+    bundle = {"attack_form.html": ATTACK_PAGE_HTML, "a/b.html": "<p>"}
+    view = WebViewInstance(TcpTransport(), bundle)
+    view.set_navigation_hook(lambda url: True)  # parse only, no submission
+    url = "asset:///attack_form.html"
+    assert view.load_url(url).document == parse_html(ATTACK_PAGE_HTML, origin=OPAQUE, url=url)
+    assert view.load_url("asset:///a/b.html").document == DocumentContext(OPAQUE)
 
 
 def test_load_url_file_scheme(tmp_path):
     page = tmp_path / "page.html"
     page.write_text('<form id="f" action="http://a/x"></form>')
-    view = WebViewInstance()
+    view = WebViewInstance(TcpTransport())
     result = view.load_url(f"file://{page}")
     assert result.document.origin.opaque
     assert result.document.forms[0].id == "f"
+    with pytest.raises(AssetNotFound):
+        view.load_url(f"file://{tmp_path}/missing.html")
 
 
 def test_load_url_rejects_unknown_scheme():
     with pytest.raises(BadUrl):
-        WebViewInstance().load_url("gopher://x/y")
+        WebViewInstance(TcpTransport()).load_url("gopher://x/y")
 
 
 def test_post_url_and_submit_form_check_the_url_first():
     # Before the permission gate, and before the hook sees the URL.
     hooked = []
-    view = WebViewInstance(internet_permitted=False)
+    view = WebViewInstance(TcpTransport(), internet_permitted=False)
     view.set_navigation_hook(lambda url: hooked.append(url) and False)
     with pytest.raises(BadUrl, match="post_url needs an http URL"):
         view.post_url("file:///tmp/x", b"a=1")
@@ -512,7 +508,7 @@ def test_load_data_drops_a_form_whose_host_is_beyond_latin_1(caplog):
 
 
 def test_load_data_empty_document():
-    view = WebViewInstance()
+    view = WebViewInstance(TcpTransport())
     result = view.load_data("", "text/html", "UTF-8")
     assert result.document.forms == []
     assert result.submission is None
@@ -520,7 +516,7 @@ def test_load_data_empty_document():
 
 def test_load_data_base64_equivalence_golden():
     payload = base64.b64encode(ATTACK_PAGE_HTML.encode()).decode()
-    view = WebViewInstance()
+    view = WebViewInstance(TcpTransport())
     view.set_navigation_hook(lambda url: True)  # parse only, no submission
     plain = view.load_data(ATTACK_PAGE_HTML, "text/html", "UTF-8")
     encoded = view.load_data(payload, "text/html", "base64")
@@ -531,7 +527,7 @@ def test_load_data_base64_equivalence_golden():
 
 @given(st.text(max_size=200))
 def test_load_data_base64_equivalence_property(text):
-    view = WebViewInstance()
+    view = WebViewInstance(TcpTransport())
     view.set_navigation_hook(lambda url: True)
     plain = view.load_data(text, "text/html", "UTF-8")
     encoded = view.load_data(
@@ -541,7 +537,7 @@ def test_load_data_base64_equivalence_property(text):
 
 
 def test_load_data_error_cases():
-    view = WebViewInstance()
+    view = WebViewInstance(TcpTransport())
     with pytest.raises(UnsupportedMime):
         view.load_data("<html/>", "image/png", "UTF-8")
     with pytest.raises(BadEncoding):
@@ -610,11 +606,10 @@ def test_post_url_attaches_strict_cookie(lab_server):
 # ---------------------------------------------------------- submit_form
 
 
-def test_submit_opaque_initiator_sends_null_origin(lab_server, tmp_path):
+def test_submit_opaque_initiator_sends_null_origin(lab_server):
     server = lab_server(policy=DefenseMode.ORIGIN_CHECK)
     seed_users(server)
-    (tmp_path / "attack_form.html").write_text(attack_form_html(server.base_url()))
-    view = make_view(server, tmp_path, recording=True)
+    view = make_view(server, attack_page=True, recording=True)
     login_through_view(view, server.base_url())
     result = view.load_url("asset:///attack_form.html")
     assert result.submission.status == 403
@@ -623,11 +618,10 @@ def test_submit_opaque_initiator_sends_null_origin(lab_server, tmp_path):
     assert server.app.posts == []
 
 
-def test_submit_strict_cookie_withheld_cross_site(lab_server, tmp_path):
+def test_submit_strict_cookie_withheld_cross_site(lab_server):
     server = lab_server(policy=DefenseMode.SAMESITE_STRICT)
     seed_users(server)
-    (tmp_path / "attack_form.html").write_text(attack_form_html(server.base_url()))
-    view = make_view(server, tmp_path, recording=True)
+    view = make_view(server, attack_page=True, recording=True)
     login_through_view(view, server.base_url())
     result = view.load_url("asset:///attack_form.html")
     assert result.submission.status == 401
@@ -636,11 +630,10 @@ def test_submit_strict_cookie_withheld_cross_site(lab_server, tmp_path):
     assert server.app.posts == []
 
 
-def test_hook_override_suppresses_network(lab_server, tmp_path):
+def test_hook_override_suppresses_network(lab_server):
     server = lab_server()
     seed_users(server)
-    (tmp_path / "attack_form.html").write_text(attack_form_html(server.base_url()))
-    view = make_view(server, tmp_path, recording=True)
+    view = make_view(server, attack_page=True, recording=True)
     login_through_view(view, server.base_url())
     before = len(view.transport.requests)
     view.set_navigation_hook(lambda url: url.endswith("new_pm.php"))
@@ -726,11 +719,10 @@ def test_hook_override_on_a_redirect_hop_stops_there():
     ]
 
 
-def test_hook_fires_before_auto_submission(lab_server, tmp_path):
+def test_hook_fires_before_auto_submission(lab_server):
     server = lab_server()
     seed_users(server)
-    (tmp_path / "attack_form.html").write_text(attack_form_html(server.base_url()))
-    view = make_view(server, tmp_path)
+    view = make_view(server, attack_page=True)
     login_through_view(view, server.base_url())
     seen = []
     view.set_navigation_hook(lambda url: seen.append(url) or False)
