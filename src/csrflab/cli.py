@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 from pathlib import Path
 
@@ -73,14 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(args) -> int:
+    import signal
+
     try:
         file_values = load_config(args.config) if args.config else None
         config = build_config(
             file_values, port=args.port, policy=args.policy, seed=args.seed, snapshot=args.snapshot
         )
-        # Found only at shutdown, a missing directory would lose the whole session.
+        # Found only at shutdown, a path the snapshot cannot be written to
+        # would lose the whole session.
         if config.snapshot and not Path(config.snapshot).parent.is_dir():
             raise ConfigError(f"snapshot directory of {config.snapshot!r} does not exist")
+        if config.snapshot and Path(config.snapshot).is_dir():
+            raise ConfigError(f"snapshot {config.snapshot!r} is a directory")
     except (ConfigError, OSError) as exc:
         print(f"csrf-lab: {exc}", file=sys.stderr)
         return EXIT_SETUP_ERROR

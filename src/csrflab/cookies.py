@@ -31,12 +31,9 @@ available offline, so here the site is the exact host.
 from __future__ import annotations
 
 import enum
-import logging
 from typing import NamedTuple
 
 from .httpcore import BadUrl, HttpResponse, RequestUri, authority, get_header_values, parse_url
-
-logger = logging.getLogger(__name__)
 
 
 class MalformedSetCookie(Exception):
@@ -168,7 +165,10 @@ def store_from_response(
         try:
             cookie = parse_set_cookie(header_value, url.host)
         except MalformedSetCookie as exc:
-            logger.warning("skipping malformed Set-Cookie %r: %s", header_value, exc)
+            import logging
+            logging.getLogger(__name__).warning(
+                "skipping malformed Set-Cookie %r: %s", header_value, exc
+            )
             continue
         for i, existing in enumerate(store.entries):
             if (existing.name, existing.domain, existing.path) == (

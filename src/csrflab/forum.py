@@ -24,9 +24,7 @@ import enum
 import hashlib
 import html
 import json
-import logging
 import os
-import tempfile
 import threading
 from typing import NamedTuple
 
@@ -48,8 +46,6 @@ from .httpcore import (
 FORUM_ROOT = "/cgi-bin/Forum"
 DEFAULT_SEED = 1337
 DEFAULT_ADMIN_TOKEN = "lab-admin-token"
-
-_log = logging.getLogger(__name__)
 
 
 class DuplicateUser(Exception):
@@ -429,7 +425,10 @@ class ForumApp:
         try:
             response = self.handle_request(request)
         except Exception:
-            _log.exception("error handling %s %s", request.method.value, request.uri.path)
+            import logging
+            logging.getLogger(__name__).exception(
+                "error handling %s %s", request.method.value, request.uri.path
+            )
             response = _text_response(500, "internal server error")
         return serialize(response)
 
@@ -456,6 +455,8 @@ class ForumApp:
     def save_snapshot(self, path: str) -> None:
         """Write to a temp file beside path, then rename it over path, so
         a crash mid-write leaves the previous snapshot intact."""
+        import tempfile
+
         directory, name = os.path.split(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
         try:

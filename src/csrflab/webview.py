@@ -55,10 +55,7 @@ chain.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import functools
-import logging
 import re
 from html.parser import HTMLParser
 from pathlib import Path
@@ -83,8 +80,6 @@ from .httpcore import (
 # tracer (perfbench/tracing.py) wraps them by this module's name.
 from .httpcore import parse_response, serialize  # noqa: F401
 from .transport import InProcessTransport, TcpTransport
-
-logger = logging.getLogger(__name__)
 
 MAX_REDIRECTS = 5
 _MAX_AUTO_SUBMITS = 5
@@ -299,7 +294,10 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
         if resolve_form(document, selector) is not None:
             document.auto_submit = selector
             break
-        logger.warning("auto-submit selector %r matches no form; dropped", selector)
+        import logging
+        logging.getLogger(__name__).warning(
+            "auto-submit selector %r matches no form; dropped", selector
+        )
     return document
 
 
@@ -424,7 +422,10 @@ class WebViewInstance:
             return None
         form = resolve_form(document, document.auto_submit)
         if self._auto_depth >= _MAX_AUTO_SUBMITS:
-            logger.warning("auto-submit depth limit reached; not submitting %s", form.action)
+            import logging
+            logging.getLogger(__name__).warning(
+                "auto-submit depth limit reached; not submitting %s", form.action
+            )
             return None
         self._auto_depth += 1
         try:
@@ -468,6 +469,8 @@ class WebViewInstance:
         if kind == "utf-8":
             text = data
         elif kind == "base64":
+            import base64
+            import binascii
             try:
                 text = base64.b64decode(data, validate=True).decode("utf-8")
             except (binascii.Error, UnicodeDecodeError) as exc:

@@ -244,6 +244,21 @@ class TestServeCommand:
         assert err.startswith("csrf-lab: snapshot directory of ")
         assert err.count("\n") == 1
 
+    def test_a_snapshot_path_that_is_a_directory_exits_two_before_serving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def interrupted(server):
+            raise KeyboardInterrupt
+
+        # Were the server to start, it would stop at once, and os.replace
+        # could not put the snapshot file over the directory.
+        monkeypatch.setattr(cli.ForumServer, "serve_blocking", interrupted)
+        assert cli.main(["serve", "--port", "0", "--snapshot", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"csrf-lab: snapshot {str(tmp_path)!r} is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_foreground_serve_answers_and_stops_cleanly(self, tmp_path):
         snapshot = tmp_path / "state.json"
         # The with block closes the pipes.  The child gets SIGINT at its
@@ -272,11 +287,13 @@ class TestServeCommand:
             finally:
                 proc.send_signal(signal.SIGINT)
                 try:
-                    assert proc.wait(timeout=10) == 0
-                finally:
-                    if proc.poll() is None:
-                        proc.kill()
-                        proc.wait(timeout=10)
+                    out, err = proc.communicate(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    out, err = proc.communicate(timeout=10)
+                # Captured, so pytest shows it beside whichever check failed.
+                print(f"child exit {proc.returncode}\nstdout: {out!r}\nstderr: {err!r}")
+        assert proc.returncode == 0
         deadline = time.time() + 5
         while not snapshot.exists() and time.time() < deadline:
             time.sleep(0.05)

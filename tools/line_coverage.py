@@ -32,8 +32,8 @@ PACKAGE = ROOT / "src" / "csrflab"
 # Lines that only the csrf-lab subprocesses of tests/test_cli.py run;
 # the tracer does not follow a subprocess.  Each is (file, line, text).
 ALLOWED = [
-    ("cli.py", 105, "server.serve_blocking()"),  # csrf-lab serve
-    ("cli.py", 206, "sys.exit(main())"),  # python -m csrflab.cli
+    ("cli.py", 109, "server.serve_blocking()"),  # csrf-lab serve
+    ("cli.py", 210, "sys.exit(main())"),  # python -m csrflab.cli
     ("server.py", 127, "self.start()"),  # serve_blocking's body
     ("server.py", 128, "self._serve()"),
 ]
