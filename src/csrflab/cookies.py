@@ -84,18 +84,6 @@ class Origin(NamedTuple):
         return (self.scheme, self.host) == (other.scheme, other.host)
 
 
-def _check_cookie_name(name: str) -> None:
-    if not name:
-        raise ValueError("empty cookie name")
-    if any(ch in "=;" or ch.isspace() for ch in name):
-        raise ValueError(f"illegal character in cookie name {name!r}")
-
-
-def _check_cookie_value(value: str) -> None:
-    if any(ch in ";\r\n" for ch in value):
-        raise ValueError(f"illegal character in cookie value {value!r}")
-
-
 class _CookieFields(NamedTuple):
     name: str
     value: str
@@ -109,8 +97,12 @@ class Cookie(_CookieFields):
 
     def __new__(cls, *args, **kwargs) -> Cookie:
         self = super().__new__(cls, *args, **kwargs)
-        _check_cookie_name(self.name)
-        _check_cookie_value(self.value)
+        if not self.name:
+            raise ValueError("empty cookie name")
+        if any(ch in "=;" or ch.isspace() for ch in self.name):
+            raise ValueError(f"illegal character in cookie name {self.name!r}")
+        if any(ch in ";\r\n" for ch in self.value):
+            raise ValueError(f"illegal character in cookie value {self.value!r}")
         if not self.path.startswith("/"):
             raise ValueError(f"cookie path must begin with '/': {self.path!r}")
         return self
@@ -134,11 +126,11 @@ def parse_set_cookie(header_value: str, host: str) -> Cookie:
     path = "/"
     same_site = SameSite.NONE
     for attr in parts[1:]:
-        attr_name, attr_sep, attr_value = attr.strip().partition("=")
+        attr_name, _, attr_value = attr.strip().partition("=")
         key = attr_name.lower()
-        if key == "path" and attr_sep:
-            path = attr_value
-        elif key == "samesite" and attr_sep and attr_value.lower() == "strict":
+        if key == "path":
+            path = attr_value  # Cookie rejects one that does not begin with "/"
+        elif key == "samesite" and attr_value.lower() == "strict":
             same_site = SameSite.STRICT
         else:
             raise MalformedSetCookie(f"unsupported attribute {attr.strip()!r}")

@@ -99,7 +99,7 @@ class User(NamedTuple):
 class SessionRecord:
     __slots__ = ("session_id", "username", "csrf_token")
 
-    def __init__(self, session_id: str, username: str, csrf_token: str | None = None) -> None:
+    def __init__(self, session_id: str, username: str, csrf_token: str | None) -> None:
         self.session_id, self.username, self.csrf_token = session_id, username, csrf_token
 
 
@@ -176,7 +176,7 @@ class ForumApp:
         return user
 
     def _open_session(self, username: str) -> SessionRecord:
-        session = SessionRecord(self.tokens.next_token(), username)
+        session = SessionRecord(self.tokens.next_token(), username, None)
         self.sessions[session.session_id] = session
         return session
 
@@ -454,11 +454,13 @@ class ForumApp:
 
     def save_snapshot(self, path: str) -> None:
         """Write to a temp file beside path, then rename it over path, so
-        a crash mid-write leaves the previous snapshot intact."""
+        a crash mid-write leaves the previous snapshot intact.  The temp
+        name is as short for a long path name as for a short one, and the
+        directory is synced after the rename, so the rename is durable too."""
         import tempfile
 
-        directory, name = os.path.split(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(prefix=".snapshot.", suffix=".tmp", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(self.snapshot(), fh, indent=2, sort_keys=False)
@@ -469,28 +471,32 @@ class ForumApp:
         except BaseException:
             os.unlink(tmp)
             raise
+        directory_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(directory_fd)
+        finally:
+            os.close(directory_fd)
 
     @classmethod
     def from_snapshot(cls, doc: dict, admin_token: str = DEFAULT_ADMIN_TOKEN) -> "ForumApp":
-        app = cls(
-            policy=DefenseMode(doc["policy"]), seed=doc["seed"], admin_token=admin_token
-        )
+        # The counters are ints: a bool is not one, and "2" or 2.0 would
+        # load, then break the token stream or the post numbering.
+        for key in ("seed", "token_counter", "next_seq"):
+            if type(doc[key]) is not int:
+                raise ValueError(f"{key} is {doc[key]!r}, not an integer")
+        if doc["token_counter"] < 0:
+            raise ValueError(f"token_counter {doc['token_counter']} is negative")
+        app = cls(policy=DefenseMode(doc["policy"]), seed=doc["seed"], admin_token=admin_token)
         app.tokens.counter = doc["token_counter"]
+        # Each record takes exactly the keys the snapshot writes for it.
         for u in doc["users"]:
-            app.users[u["username"]] = User(u["username"], u["salt"], u["password_digest"])
+            app.users[u["username"]] = User(**u)
         for s in doc["sessions"]:
-            app.sessions[s["session_id"]] = SessionRecord(
-                s["session_id"], s["username"], s["csrf_token"]
-            )
+            app.sessions[s["session_id"]] = SessionRecord(**s)
         for i, p in enumerate(doc["posts"]):
-            if p["seq"] != i + 1:
-                raise ValueError(f"post {i} has seq {p['seq']}, not {i + 1}")
-            app.posts.append(
-                PostRecord(
-                    PostKind(p["kind"]), p["sender"], p["recipient"],
-                    p["title"], p["message"], p["seq"],
-                )
-            )
+            if type(p["seq"]) is not int or p["seq"] != i + 1:
+                raise ValueError(f"post {i} has seq {p['seq']!r}, not {i + 1}")
+            app.posts.append(PostRecord(**{**p, "kind": PostKind(p["kind"])}))
         if doc["next_seq"] != len(app.posts) + 1:
             raise ValueError(f"next_seq {doc['next_seq']} after {len(app.posts)} posts")
         return app

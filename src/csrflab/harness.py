@@ -36,7 +36,7 @@ from typing import NamedTuple
 from . import __version__, client, fixtures
 from .config import LabConfig
 from .forum import DEFAULT_SEED, FORUM_ROOT, DefenseMode, ForumApp
-from .httpcore import HttpMethod, MalformedMessage, set_header
+from .httpcore import HttpMethod, HttpRequest, HttpResponse, MalformedMessage, set_header
 
 # Sent through client.execute; still imported because the benchmark's
 # tracer (perfbench/tracing.py) wraps them by this module's name.
@@ -206,6 +206,18 @@ def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab
         yield Lab(TcpTransport(), base_url, server, fixtures.attack_form_html(base_url), seed)
 
 
+def _set_up(lab: Lab, request: HttpRequest, step: str, status: int) -> HttpResponse:
+    """One set-up exchange, which must answer status; ScenarioSetupFailed
+    naming step when it does not, or does not answer at all."""
+    try:
+        response = client.execute(request, lab.transport)
+    except (ConnectionFailed, MalformedMessage) as exc:
+        raise ScenarioSetupFailed(f"{step} failed: {exc}") from exc
+    if response.status != status:
+        raise ScenarioSetupFailed(f"{step} answered {response.status}")
+    return response
+
+
 def _register_users(lab: Lab) -> None:
     for username, password in ((VICTIM, VICTIM_PASSWORD), (PEER, PEER_PASSWORD)):
         request = client.build(
@@ -213,14 +225,7 @@ def _register_users(lab: Lab) -> None:
             f"{lab.base_url}{FORUM_ROOT}/register.php",
             [("username", username), ("password", password)],
         )
-        try:
-            response = client.execute(request, lab.transport)
-        except (ConnectionFailed, MalformedMessage) as exc:
-            raise ScenarioSetupFailed(f"registration of {username!r} failed: {exc}") from exc
-        if response.status != 302:
-            raise ScenarioSetupFailed(
-                f"registration of {username!r} answered {response.status}"
-            )
+        _set_up(lab, request, f"registration of {username!r}", 302)
 
 
 def _admin_state(lab: Lab, admin_token: str) -> dict:
@@ -229,13 +234,7 @@ def _admin_state(lab: Lab, admin_token: str) -> dict:
         f"{lab.base_url}/admin/state",
         headers=[("Authorization", f"Bearer {admin_token}")],
     )
-    try:
-        response = client.execute(request, lab.transport)
-    except (ConnectionFailed, MalformedMessage) as exc:
-        raise ScenarioSetupFailed(f"admin state fetch failed: {exc}") from exc
-    if response.status != 200:
-        raise ScenarioSetupFailed(f"admin state endpoint answered {response.status}")
-    return json.loads(response.body)
+    return json.loads(_set_up(lab, request, "admin state fetch", 200).body)
 
 
 # --------------------------------------------------------------- attacks
@@ -279,7 +278,7 @@ def _navigation_status(result) -> tuple[int, str]:
 
 
 def _body_excerpt(response) -> str:
-    if response is None or response.status == 302:
+    if response.status == 302:
         return ""
     return response.body[:120].decode("utf-8", errors="replace")
 

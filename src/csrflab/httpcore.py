@@ -337,7 +337,8 @@ def make_request(
     """Build a request satisfying the message invariants.
 
     Adds Host, Connection: close, optional Content-Type, and a
-    Content-Length matching the body.  Raises BadUrl for non-http URLs.
+    Content-Length matching the body; headers name neither of the last
+    two.  Raises BadUrl for non-http URLs.
     """
     uri, built = _request_headers(url, tuple(headers or ()), content_type, len(body))
     return HttpRequest(method=method, uri=uri, headers=list(built), body=body)
@@ -356,11 +357,11 @@ def _request_headers(
     for name, value in headers:
         set_header(request, name, value)
     present = {header.name.lower() for header in request.headers}
-    if content_type is not None and "content-type" not in present:
+    if content_type is not None:
         request.headers.append(_header("Content-Type", content_type))
     if "connection" not in present:
         request.headers.append(_header("Connection", "close"))
-    if size and "content-length" not in present:
+    if size:
         request.headers.append(_header("Content-Length", str(size)))
     return uri, tuple(request.headers)
 
@@ -452,14 +453,11 @@ def _check_body(declared: int | None, body: bytes) -> None:
 
 
 def framed_body_size(head: bytes) -> int:
-    """The body size a complete head frames (RFC 9112 §6.3): its one Content-Length as
-    parse_request reads it, 10**18 past _is_digits' 18 digits, else 0 (no body, or a
-    head that parse_request rejects whatever follows it).  A head parse_request takes
-    is read through its memo, so the parse that follows hits."""
-    try:
-        text = _split_head(head)[0]
-    except MalformedMessage:
-        return 0
+    """The body size a head ending in its CRLFCRLF frames (RFC 9112 §6.3): its one
+    Content-Length as parse_request reads it, 10**18 past _is_digits' 18 digits, else 0
+    (no body, or a head that parse_request rejects whatever follows it).  A head
+    parse_request takes is read through its memo, so the parse that follows hits."""
+    text = _split_head(head)[0]
     try:
         return _request_head(text)[3] or 0
     except MalformedMessage:

@@ -49,19 +49,24 @@ class ForumServer:
     it unanswered and then exits on its own.
     """
 
-    def __init__(self, config: LabConfig | None = None) -> None:
-        self.config = config or LabConfig()
+    def __init__(self, config: LabConfig) -> None:
+        self.config = config
         self.app = self._initial_app()
         self._listener = socket.create_server(
             (self.config.bind, self.config.port), backlog=BACKLOG
         )
-        self._port = self._listener.getsockname()[1]
-        self._workers: list[threading.Thread] = []
-        self._busy: set[threading.Thread] = set()
+        self.port = self._listener.getsockname()[1]
+        # Workers not serving a connection, and workers whose loop has
+        # ended; _state is notified when a worker leaves the first set or
+        # joins the second, which is what stop() waits for.
+        self._idle: set[threading.Thread] = set()
+        self._exited: list[threading.Thread] = []
+        self._state = threading.Condition()
         # Held across "stopped? -> handle_raw" and "stop -> snapshot", so
         # every answered change is in the snapshot.
         self._lock = threading.Lock()
         self._finished = False
+        self._stopped = threading.Event()
 
     def _initial_app(self) -> ForumApp:
         if self.config.snapshot and Path(self.config.snapshot).is_file():
@@ -74,22 +79,15 @@ class ForumServer:
             admin_token=self.config.admin_token,
         )
 
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def host(self) -> str:
-        return self.config.bind
-
     def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return f"http://{self.config.bind}:{self.port}"
 
     def start(self) -> "ForumServer":
         for _ in range(WORKERS):
             worker = threading.Thread(target=self._serve, name="csrf-lab-server", daemon=True)
             worker.start()
-            self._workers.append(worker)
+            with self._state:
+                self._idle.add(worker)
         return self
 
     def _serve(self) -> None:
@@ -100,8 +98,13 @@ class ForumServer:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
+                with self._state:
+                    self._exited.append(me)
+                    self._state.notify_all()
                 return
-            self._busy.add(me)
+            with self._state:
+                self._idle.discard(me)
+                self._state.notify_all()
             try:
                 raw = read_http_message(recv_until(conn, time.monotonic() + IO_TIMEOUT))
                 with self._lock:
@@ -110,7 +113,7 @@ class ForumServer:
                     conn.sendall(response)
                 # Idle before the peer can see EOF: what is left cannot
                 # block, so a stop() that follows the exchange joins it.
-                self._busy.discard(me)
+                self._idle.add(me)
                 conn.shutdown(socket.SHUT_WR)
             except OSError:
                 # A peer that vanished or went silent mid-exchange is its
@@ -118,30 +121,33 @@ class ForumServer:
                 pass
             finally:
                 conn.close()
-                self._busy.discard(me)
+                self._idle.add(me)
 
     def serve_blocking(self) -> None:
-        """Foreground mode for the CLI: the pool plus one more worker
-        loop on the calling thread, until stop() or an interrupt.  The
-        caller stops the server, as the CLI does on its way out."""
+        """Foreground mode for the CLI: the pool serves while the calling
+        thread waits for stop() or an interrupt.  The caller stops the
+        server, as the CLI does on its way out."""
         self.start()
-        self._serve()
+        # Only stop() wakes this wait, so an interrupt lands in it.
+        self._stopped.wait()
 
     def stop(self) -> None:
         """Safe to call twice, before start(), and on a pool whose start()
-        was interrupted part-way."""
+        was interrupted part-way; from another thread, only once start()
+        has returned."""
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # never listened, or already shut down and closed
-        for worker in self._workers:
-            # Idle workers exit at once; a busy one is left to finish its
-            # connection.  The joins are short because a worker whose
-            # accept() returned just before the shutdown turns busy a
-            # moment later.
-            while worker.is_alive() and worker not in self._busy:
-                worker.join(timeout=0.01)
+        # Idle workers exit at once; a busy one is left to finish its
+        # connection.  A worker whose accept() returned just before the
+        # shutdown leaves _idle a moment later, and wakes this wait.
+        with self._state:
+            self._state.wait_for(lambda: self._idle.issubset(self._exited))
+        for worker in self._exited:
+            worker.join()
         self._finish()
+        self._stopped.set()
 
     def _finish(self) -> None:
         with self._lock:

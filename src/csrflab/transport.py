@@ -110,11 +110,13 @@ def read_http_message(recv) -> bytes:
     rejects it, as it rejects a body cut short."""
     buf = bytearray()
     head_end, wanted = -1, MAX_MESSAGE_PART
-    while len(buf) < wanted and (chunk := recv(min(65536, wanted - len(buf)))):
+    while chunk := recv(min(65536, wanted - len(buf))):
         buf += chunk
         if head_end < 0:
             head_end = buf.find(b"\r\n\r\n", max(len(buf) - len(chunk) - 3, 0), MAX_MESSAGE_PART)
             wanted = _message_size(buf, head_end)
+        if len(buf) >= wanted:
+            break
     return bytes(buf[:wanted])
 
 

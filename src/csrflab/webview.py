@@ -359,9 +359,9 @@ class WebViewInstance:
     # ------------------------------------------------------- navigation
 
     def _network_exchange(self, method, url, body, content_type, initiator, origin_header):
+        request = make_request(method, url, body=body, content_type=content_type)
         if not self.internet_permitted:
             raise PermissionDenied(f"internet permission not granted; cannot load {url}")
-        request = make_request(method, url, body=body, content_type=content_type)
         cookie = cookiemod.cookies_for_request(self.cookie_store, request.uri, initiator)
         if cookie is not None:
             set_header(request, "Cookie", cookie)
@@ -384,8 +384,8 @@ class WebViewInstance:
             return LoadResult(overridden=True)
 
         origin_header = None if initiator is None else initiator.serialize()
-        target = url
-        for hop in range(MAX_REDIRECTS + 1):
+        target, hop = url, 0
+        while True:
             request, response = self._network_exchange(
                 method, target, body, content_type, initiator, origin_header
             )
@@ -396,6 +396,7 @@ class WebViewInstance:
                 break
             if hop == MAX_REDIRECTS:
                 raise TooManyRedirects(f"gave up after {MAX_REDIRECTS} hops from {url}")
+            hop += 1
             target = _resolve(target, get_header(response, "Location"))
             if self._consult_hook(target):
                 return LoadResult(status=primary.status, response=primary, overridden=True)
@@ -484,8 +485,6 @@ class WebViewInstance:
         """POST raw body bytes to an http URL.  API-initiated: no Origin
         header, cookies attached as if there were no initiating document."""
         self._guard_entry()
-        if parse_url(url).scheme != "http":
-            raise BadUrl(f"post_url needs an http URL, got {url!r}")
         return self._navigate(
             HttpMethod.POST,
             url,

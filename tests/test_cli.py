@@ -72,6 +72,12 @@ class TestAttackCommand:
         assert cell["spoof"] is True
         assert (cell["success"], cell["status"]) == (True, 302)
 
+    def test_plain_report_of_a_spoofed_origin(self, capsys):
+        argv = ["attack", "--scenario", "A4", "--policy", "origin_check", "--spoof-origin"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "A4 under origin_check with spoofed Origin: attack SUCCEEDED (status 302" in out
+
     def test_setup_failure_exits_two(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise ScenarioSetupFailed("injected")

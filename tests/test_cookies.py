@@ -73,6 +73,27 @@ def test_parse_set_cookie_rejects(header):
         parse_set_cookie(header, "forum.local")
 
 
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        ("a=1; Path", "cookie path must begin with '/'"),
+        ("a=1; SameSite", "unsupported attribute 'SameSite'"),
+        ("a=1; samesite=", "unsupported attribute 'samesite='"),
+    ],
+)
+def test_an_attribute_without_its_value_is_rejected(header, error):
+    with pytest.raises(MalformedSetCookie, match=error):
+        parse_set_cookie(header, "forum.local")
+
+
+@pytest.mark.parametrize("name", ["a=b", "a;b", "a b", "a\tb"])
+def test_cookie_rejects_an_illegal_name(name):
+    # parse_set_cookie cannot hand over a name with "=" or ";", but a
+    # Cookie built directly can, and get_cookie would then join it.
+    with pytest.raises(ValueError, match="illegal character in cookie name"):
+        Cookie(name=name, value="v", domain="forum.local")
+
+
 def test_get_cookie_empty_store():
     assert get_cookie(CookieStore(), "http://forum.local/") is None
 
@@ -168,6 +189,10 @@ def test_origin_same_site_rules():
     assert not FORUM.same_site_with(EVIL)
     assert not OPAQUE.same_site_with(FORUM)
     assert not OPAQUE.same_site_with(OPAQUE)  # opaque is alien even to itself
+    assert not FORUM.same_site_with(OPAQUE)
+    # Opaque is not a value of scheme and host: the empty web origin
+    # that shares them is still not same-site with it.
+    assert not Origin().same_site_with(OPAQUE)
 
 
 def test_strict_attachment_enumeration():

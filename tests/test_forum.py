@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,9 @@ def test_login_failures():
     assert get_header(resp, "Set-Cookie") is None
     resp = _post(app, "/cgi-bin/Forum/login.php", [("username", "sohini")])
     assert resp.status == 400
+    resp = _post(app, "/cgi-bin/Forum/login.php", [("username", "nobody"), ("password", "pw")])
+    assert (resp.status, resp.body) == (401, b"bad credentials")
+    assert app.sessions == {}
 
 
 @pytest.mark.parametrize("route", ["register.php", "login.php"])
@@ -314,6 +319,24 @@ def test_new_topic_policy_none():
     assert post.kind is PostKind.TOPIC
     assert post.sender == "user1"
     assert post.recipient is None
+
+
+def test_index_page_lists_each_topic_with_its_title_escaped():
+    app = _app()
+    cookie = _login(app, "user1", "pw1")
+    for path, pairs in [
+        ("/cgi-bin/Forum/new_topic.php", [("title", "<b>Tom & \"Jerry\"</b>"), ("message", "m")]),
+        ("/cgi-bin/Forum/new_pm.php", ATTACK_PM_PAIRS),
+        ("/cgi-bin/Forum/new_topic.php", [("title", "plain"), ("message", "m")]),
+    ]:
+        assert _post(app, path, pairs, cookie=cookie).status == 302
+    body = app.handle_request(_request("/cgi-bin/Forum/index.php")).body.decode()
+    assert "<p>2 topics, 1 private messages</p>\n" in body
+    assert (
+        '    <p class="topic">&lt;b&gt;Tom &amp; &quot;Jerry&quot;&lt;/b&gt;</p>\n'
+        '    <p class="topic">plain</p>\n  </body>'
+    ) in body
+    assert ATTACK_PM_PAIRS[0][1] not in body  # a private message is no topic
 
 
 def test_new_topic_origin_check_without_origin():
@@ -581,6 +604,90 @@ def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypat
 def test_load_snapshot_rejects_corrupt_files(tmp_path, text):
     path = tmp_path / "state.json"
     path.write_text(text)
+    with pytest.raises(CorruptSnapshot):
+        ForumApp.load_snapshot(str(path))
+
+
+def test_save_snapshot_takes_a_file_name_of_250_bytes(tmp_path):
+    # The temp file beside it must fit the 255-byte name limit too.
+    path = tmp_path / ("s" * 250)
+    app = _scripted_run(42)
+    app.save_snapshot(str(path))
+    assert ForumApp.load_snapshot(str(path)).snapshot() == app.snapshot()
+    assert [p.name for p in tmp_path.iterdir()] == ["s" * 250]
+
+
+def test_save_snapshot_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), (tmp_path / "state.json").exists()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    _scripted_run(42).save_snapshot(str(tmp_path / "state.json"))
+    # The file before the rename, then its directory after it.
+    assert synced == [(False, False), (True, True)]
+
+
+_ONE_POST = {
+    "policy": "none", "seed": 1, "token_counter": 3, "next_seq": 2, "users": [],
+    "sessions": [],
+    "posts": [
+        {"kind": "topic", "sender": "a", "recipient": None, "title": "t", "message": "m", "seq": 1}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        (None, "seed", "x"),
+        (None, "seed", 1.5),
+        (None, "seed", True),
+        (None, "token_counter", "2"),
+        (None, "token_counter", True),
+        (None, "token_counter", 1.5),
+        (None, "token_counter", -1),
+        (None, "next_seq", 2.0),
+        (0, "seq", True),
+        (0, "seq", 1.0),
+    ],
+)
+def test_load_snapshot_rejects_a_counter_that_is_no_whole_number(tmp_path, where, key, value):
+    # A token_counter of "2" would make every register and login answer
+    # 500 for the rest of the session; True would pass as seq 1.
+    doc = json.loads(json.dumps(_ONE_POST))
+    (doc if where is None else doc["posts"][where])[key] = value
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptSnapshot, match=key):
+        ForumApp.load_snapshot(str(path))
+    path.write_text(json.dumps(_ONE_POST))
+    assert ForumApp.load_snapshot(str(path)).snapshot() == _ONE_POST
+
+
+@pytest.mark.parametrize(
+    "records, change",
+    [
+        ("posts", lambda post: post.update(extra=1)),
+        ("posts", lambda post: post.pop("recipient")),
+        ("users", lambda user: user.pop("salt")),
+        ("sessions", lambda session: session.pop("csrf_token")),
+        ("sessions", lambda session: session.update(extra=1)),
+    ],
+)
+def test_load_snapshot_rejects_a_record_with_other_keys(tmp_path, records, change):
+    app = _scripted_run(42)
+    session = list(app.sessions.values())[0]
+    pairs = [("csrf_token", session.csrf_token)] + ATTACK_PM_PAIRS
+    cookie = f"session_id={session.session_id}"
+    assert _post(app, "/cgi-bin/Forum/new_pm.php", pairs, cookie=cookie).status == 302
+    doc = app.snapshot()
+    change(doc[records][0])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(CorruptSnapshot):
         ForumApp.load_snapshot(str(path))
 

@@ -111,6 +111,16 @@ class TestVictimLogin:
         with pytest.raises(NoCookieCaptured):
             victim_login(view, server.base_url(), "sohini", "pw")
 
+    def test_a_capture_that_saw_no_cookie_raises(self, lab_server):
+        # The capture reads another view's (empty) cookie manager.
+        server = lab_server()
+        view = _logged_in_view(server, hook=False)
+        capture = CookieCapture(WebViewInstance(transport=TcpTransport()))
+        view.set_navigation_hook(capture)
+        with pytest.raises(NoCookieCaptured):
+            victim_login(view, server.base_url(), "sohini", "pw")
+        assert len(capture.urls) == 2
+
     def test_suppressing_hook_raises_too(self, lab_server):
         # A hook that is not a CookieCapture cannot prove a theft.
         server = lab_server()
@@ -208,6 +218,13 @@ class TestRunScenario:
         outcome = run_scenario(lab, ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.CSRF_TOKEN)
         assert (outcome.success, outcome.http_status) == (False, 403)
         assert "missing_or_bad_token" in outcome.notes
+
+    def test_a_failed_attack_with_an_empty_answer_adds_no_server_note(self, lab, monkeypatch):
+        # A 302 leaves no excerpt; a failure then has nothing to quote.
+        monkeypatch.setattr(harness, "_attack", lambda *args: (302, ""))
+        outcome = run_scenario(lab, ScenarioId.A3_POST_URL, DefenseMode.NONE)
+        assert (outcome.success, outcome.http_status) == (False, 302)
+        assert outcome.notes == "direct API POST with no initiating document"
 
     def test_samesite_starves_the_webview_attacks(self, lab):
         outcome = run_scenario(lab, ScenarioId.A2_LOAD_DATA, DefenseMode.SAMESITE_STRICT)

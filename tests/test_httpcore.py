@@ -589,8 +589,10 @@ def test_framed_body_size(lines, size):
     assert framed_body_size(b"POST /x HTTP/1.1\r\nHost: a\r\n" + lines + b"\r\n") == size
 
 
-def test_framed_body_size_of_a_head_without_its_end_is_zero():
-    assert framed_body_size(b"POST /x HTTP/1.1\r\nContent-Length: 27\r\n") == 0
+def test_framed_body_size_of_a_head_without_its_end_raises():
+    # Both transports pass the bytes up to the head's CRLFCRLF.
+    with pytest.raises(MalformedMessage, match="missing CRLFCRLF"):
+        framed_body_size(b"POST /x HTTP/1.1\r\nContent-Length: 27\r\n")
 
 
 def test_a_request_never_equals_a_response():
@@ -664,8 +666,12 @@ def _oracle_framed_body_size(head):
 @settings(max_examples=300)
 @given(_heads, st.binary(max_size=8))
 def test_framed_body_size_agrees_with_parse_request(head, extra):
-    expected = _oracle_framed_body_size(head)
     _request_head.cache_clear()
+    if b"\r\n\r\n" not in head:
+        with pytest.raises(MalformedMessage, match="missing CRLFCRLF"):
+            framed_body_size(head)
+        return
+    expected = _oracle_framed_body_size(head)
     # A miss, then a hit: both frame as the block rule did.
     assert [framed_body_size(head), framed_body_size(head)] == [expected, expected]
     if head.find(b"\r\n\r\n") != len(head) - 4:
@@ -810,6 +816,8 @@ def test_parse_url_local_schemes():
     assert uri.host == ""
     assert uri.path == "/attack_form.html"
     assert parse_url("file:///tmp/page.html").path == "/tmp/page.html"
+    assert parse_url("file:///tmp/page.html").query is None
+    assert parse_url("asset:///page.html?x=1").query == "x=1"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from csrflab.transport import (
     InProcessTransport,
     TcpTransport,
     read_http_message,
+    recv_until,
 )
 from test_forum import _MUTATION, _app, _login, _mutate, _request, _valid_raw_requests
 
@@ -254,6 +255,43 @@ def test_stop_answers_no_change_the_snapshot_lacks(tmp_path):
     assert json.loads(path.read_text())["users"] == []
 
 
+def _held_by_a_worker(server, sock, data):
+    """Send data on sock, and return once a worker has taken sock."""
+    sock.sendall(data)
+    deadline = time.monotonic() + 5
+    while len(server._idle) == WORKERS and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert len(server._idle) == WORKERS - 1
+
+
+def test_a_request_completed_after_stop_is_closed_unanswered(tmp_path):
+    # As above, but the worker surely holds the connection when stop()
+    # runs: the request is read in full, then closed unanswered.
+    path = tmp_path / "state.json"
+    server = ForumServer(LabConfig(port=0, snapshot=str(path))).start()
+    body = b"username=late&password=pw"
+    head = (
+        f"POST /cgi-bin/Forum/register.php HTTP/1.1\r\nHost: 127.0.0.1:{server.port}\r\n"
+        f"Content-Type: application/x-www-form-urlencoded\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        _held_by_a_worker(server, sock, head)
+        server.stop()
+        sock.sendall(body)
+        assert sock.recv(65536) == b""
+    assert "late" not in server.app.users
+    assert json.loads(path.read_text())["users"] == []
+
+
+def test_a_peer_that_sends_nothing_gets_nothing(lab_server, transport):
+    server = lab_server()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        _held_by_a_worker(server, sock, b"")
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""
+    assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/index.php").status == 200
+
+
 # ------------------------------------------------------------ worker pool
 
 
@@ -313,6 +351,67 @@ def test_stop_right_after_start_and_twice():
     server.stop()
     server.stop()
     assert _pool_threads() - before == set()
+
+
+def test_serve_blocking_returns_once_stopped(transport):
+    before = _pool_threads()
+    server = ForumServer(LabConfig(port=0))
+    foreground = threading.Thread(target=server.serve_blocking, daemon=True)
+    foreground.start()
+    # stop() from another thread comes after start() has returned.
+    deadline = time.monotonic() + 5
+    while len(server._idle) < WORKERS and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert wire_get(transport, server.base_url(), "/cgi-bin/Forum/index.php").status == 200
+    server.stop()
+    foreground.join(timeout=5)
+    assert not foreground.is_alive()
+    assert _pool_threads() - before == set()
+
+
+class _SlowListener:
+    """The server's listening socket, with a pause after accept() returns
+    a connection, or after it fails once the socket is shut down."""
+
+    def __init__(self, sock, after_accept=0.0, after_failure=0.0):
+        self.sock, self.after_accept, self.after_failure = sock, after_accept, after_failure
+
+    def accept(self):
+        try:
+            accepted = self.sock.accept()
+        except OSError:
+            time.sleep(self.after_failure)
+            raise
+        time.sleep(self.after_accept)
+        return accepted
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_stop_returns_once_every_idle_worker_has_exited():
+    before = _pool_threads()
+    server = ForumServer(LabConfig(port=0))
+    server._listener = _SlowListener(server._listener, after_failure=0.05)
+    server.start()
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started >= 0.05
+    assert _pool_threads() - before == set()
+
+
+def test_stop_does_not_wait_for_a_worker_that_accepted_just_before_it(monkeypatch):
+    # The worker is still idle when stop() looks, and turns busy with a
+    # silent peer a moment later; that change must wake stop().
+    monkeypatch.setattr(server_module, "IO_TIMEOUT", 3.0)
+    server = ForumServer(LabConfig(port=0))
+    server._listener = _SlowListener(server._listener, after_accept=0.1)
+    server.start()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5):
+        time.sleep(0.05)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
 
 
 def test_stop_before_start():
@@ -415,6 +514,22 @@ def test_read_http_message_finds_a_head_split_anywhere():
     recv, state = _feeder(raw + b"next message", 1)
     assert read_http_message(recv) == raw
     assert state["given"] == len(raw)
+
+
+def test_read_http_message_returns_what_came_before_an_early_eof():
+    raw = serialize(
+        make_request(HttpMethod.POST, "http://127.0.0.1/x", body=b"abcdef", content_type="t/p")
+    )
+    for cut in (0, 5, len(raw) - 6, len(raw) - 1):
+        recv, state = _feeder(raw[:cut], 2)
+        assert read_http_message(recv) == raw[:cut]
+        assert state["given"] == cut
+    # One segment carries the whole message and what follows it: a recv
+    # for a negative count would raise.
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(raw + b"next message")
+        assert read_http_message(recv_until(right, time.monotonic() + 5)) == raw
 
 
 _LOGIN_BODY = b"username=sohini&password=pw"

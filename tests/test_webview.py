@@ -365,7 +365,7 @@ def test_post_url_and_submit_form_check_the_url_first():
     hooked = []
     view = WebViewInstance(TcpTransport(), internet_permitted=False)
     view.set_navigation_hook(lambda url: hooked.append(url) and False)
-    with pytest.raises(BadUrl, match="post_url needs an http URL"):
+    with pytest.raises(BadUrl, match="requests need an http URL"):
         view.post_url("file:///tmp/x", b"a=1")
     form = HtmlForm(action="asset:///page.html", method=HttpMethod.POST)
     with pytest.raises(BadUrl, match="form action must be an absolute http URL"):
@@ -754,6 +754,10 @@ def test_user_submit_form_errors(lab_server):
     view.load_url(f"{server.base_url()}/cgi-bin/Forum/login.php")
     with pytest.raises(NoSuchForm):
         view.user_submit_form("ghost-form", [])
+    # The page holds one form, so only index 0 names it.
+    for index in (-1, 1):
+        with pytest.raises(NoSuchForm):
+            view.user_submit_form(index, [])
     with pytest.raises(NoSuchField):
         view.user_submit_form("login-form", [("no_such_input", "x")])
 
