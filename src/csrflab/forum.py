@@ -492,13 +492,18 @@ class ForumApp:
         for u in doc["users"]:
             app.users[u["username"]] = User(**u)
         for s in doc["sessions"]:
+            if s["username"] not in app.users:
+                raise ValueError(f"session {s['session_id']!r} names no user")
             app.sessions[s["session_id"]] = SessionRecord(**s)
         for i, p in enumerate(doc["posts"]):
             if type(p["seq"]) is not int or p["seq"] != i + 1:
                 raise ValueError(f"post {i} has seq {p['seq']!r}, not {i + 1}")
             app.posts.append(PostRecord(**{**p, "kind": PostKind(p["kind"])}))
-        if doc["next_seq"] != len(app.posts) + 1:
-            raise ValueError(f"next_seq {doc['next_seq']} after {len(app.posts)} posts")
+        # A repeated username or session_id, an extra key or a next_seq that is
+        # not len(posts) + 1 would not survive the load: the state must save
+        # back to exactly the document.
+        if app.snapshot() != doc:
+            raise ValueError("the document is not what its own state saves")
         return app
 
     @classmethod

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from . import __version__, client, fixtures
 from .config import LabConfig
 from .forum import DEFAULT_SEED, FORUM_ROOT, DefenseMode, ForumApp
-from .httpcore import HttpMethod, HttpRequest, HttpResponse, MalformedMessage, set_header
+from .httpcore import HttpMethod, HttpRequest, HttpResponse, MalformedMessage, with_header
 
 # Sent through client.execute; still imported because the benchmark's
 # tracer (perfbench/tracing.py) wraps them by this module's name.
@@ -263,9 +263,9 @@ def _forged_client(view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]:
     forged = client.build(
         HttpMethod.POST, f"{lab.base_url}{FORUM_ROOT}/new_pm.php", fixtures.API_POST_PAIRS
     )
-    set_header(forged, "Cookie", stolen_cookie)
+    forged = with_header(forged, "Cookie", stolen_cookie)
     if spoof_origin:
-        set_header(forged, "Origin", lab.base_url)
+        forged = with_header(forged, "Origin", lab.base_url)
     response = client.execute(forged, lab.transport)
     return response.status, _body_excerpt(response)
 

@@ -9,10 +9,12 @@ The lab speaks a deliberately small slice of HTTP/1.1 over loopback TCP::
     [exactly Content-Length body bytes]    [exactly Content-Length body bytes]
 
 Every exchange is single-shot (``Connection: close``); there is no
-keep-alive, chunked encoding, or content negotiation.  Headers are an
-ordered list, matched case-insensitively but emitted with the stored
-spelling.  ``set_header`` overwrites the value of the first header with a
-matching name and appends otherwise; later duplicates are left alone.
+keep-alive, chunked encoding, or content negotiation.  A message is
+immutable, and its headers are an ordered tuple, matched
+case-insensitively but emitted with the stored spelling.  ``with_header``
+returns a copy whose first header with a matching name has the new
+value, or with the header appended when none matches; later duplicates
+are left alone.
 Every Header checks itself when built, by one precompiled regex for the
 name and one for the value: built and parsed headers meet one rule
 (IllegalHeader, or MalformedMessage out of parse_request/parse_response).
@@ -31,7 +33,7 @@ codec are memoized per distinct input with functools.lru_cache:
   the declared Content-Length;
 - parse_url, 16 entries, each a frozen RequestUri;
 - _header, 64 entries: each Header that make_request, make_response and
-  set_header build, one per (name, value); a Header is frozen, so every
+  with_header build, one per (name, value); a Header is frozen, so every
   message can share it;
 - _request_headers and _response_headers, 64 entries each: the Headers
   make_request and make_response build, keyed on every input but the
@@ -42,8 +44,8 @@ codec are memoized per distinct input with functools.lru_cache:
 The memos are exact: each reads nothing but its arguments and returns
 immutable values, and an input that raises is not cached, so it raises
 on every call, with the same error.  A hit still checks the body
-against the declared length, and every message gets its own header
-list, so set_header never reaches a memo.  The form codec has two exact
+against the declared length.  Messages hold a memo's tuple of Headers as
+it is: nothing can change a message.  The form codec has two exact
 fast paths instead of a memo: a component of letters, digits and
 ``*-._`` encodes to itself, and an ASCII one without ``%`` or ``+``
 decodes to itself.
@@ -250,36 +252,42 @@ class Header(_HeaderFields):
 
 
 class _Message:
-    """Equal to a message of its own class with equal fields."""
+    """Equal to a message of its own class with equal fields, and to no
+    other tuple.  A message is a NamedTuple, so no field can be set."""
 
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        if isinstance(other, tuple) and not isinstance(other, _Message):
+            return False  # past NotImplemented, the tuple's __eq__ would compare the fields
+        return NotImplemented
+
+    # tuple.__ne__ would compare the fields; this one negates __eq__.
+    __ne__ = object.__ne__
 
 
-class HttpRequest(_Message):
-    __slots__ = ("method", "uri", "headers", "body")
-
-    def __init__(
-        self, method: HttpMethod, uri: RequestUri, headers: list[Header] | None = None,
-        body: bytes = b"",
-    ) -> None:
-        self.method, self.uri, self.body = method, uri, body
-        self.headers = [] if headers is None else headers
+class _RequestFields(NamedTuple):
+    method: HttpMethod
+    uri: RequestUri
+    headers: tuple[Header, ...] = ()
+    body: bytes = b""
 
 
-class HttpResponse(_Message):
-    __slots__ = ("status", "reason", "headers", "body")
+class HttpRequest(_Message, _RequestFields):
+    __slots__ = ()
 
-    def __init__(
-        self, status: int = 200, reason: str = "OK", headers: list[Header] | None = None,
-        body: bytes = b"",
-    ) -> None:
-        self.status, self.reason, self.body = status, reason, body
-        self.headers = [] if headers is None else headers
+
+class _ResponseFields(NamedTuple):
+    status: int = 200
+    reason: str = "OK"
+    headers: tuple[Header, ...] = ()
+    body: bytes = b""
+
+
+class HttpResponse(_Message, _ResponseFields):
+    __slots__ = ()
 
 
 Message = HttpRequest | HttpResponse
@@ -299,25 +307,28 @@ def get_header_values(message: Message, name: str) -> list[str]:
     return _header_values(message.headers, name)
 
 
-def _header_values(headers: list[Header] | tuple[Header, ...], name: str) -> list[str]:
+def _header_values(headers: tuple[Header, ...], name: str) -> list[str]:
     lname = name.lower()
     return [h.value for h in headers if h.name.lower() == lname]
 
 
-def set_header(message: Message, name: str, value: str) -> Message:
-    """Overwrite the first matching header's value, else append.
+def with_header(message: Message, name: str, value: str) -> Message:
+    """A copy of message with the first matching header's value
+    overwritten, else with the header appended; message is unchanged.
 
     The stored name keeps its original spelling on overwrite; later
     duplicates are untouched.  Appends use the caller's spelling.
     """
+    return message._replace(headers=_with_header(message.headers, name, value))
+
+
+def _with_header(headers: tuple[Header, ...], name: str, value: str) -> tuple[Header, ...]:
     # A non-ASCII name ("\u212a" lowers to "k") matches none; Header rejects it.
     lname = name.lower() if name.isascii() else None
-    for i, header in enumerate(message.headers):
+    for i, header in enumerate(headers):
         if header.name.lower() == lname:
-            message.headers[i] = _header(header.name, value)
-            return message
-    message.headers.append(_header(name, value))
-    return message
+            return (*headers[:i], _header(header.name, value), *headers[i + 1 :])
+    return (*headers, _header(name, value))
 
 
 @functools.lru_cache(maxsize=64)
@@ -341,7 +352,7 @@ def make_request(
     two.  Raises BadUrl for non-http URLs.
     """
     uri, built = _request_headers(url, tuple(headers or ()), content_type, len(body))
-    return HttpRequest(method=method, uri=uri, headers=list(built), body=body)
+    return HttpRequest(method, uri, built, body)
 
 
 @functools.lru_cache(maxsize=64)
@@ -352,18 +363,16 @@ def _request_headers(
     uri = parse_url(url)
     if uri.scheme != "http":
         raise BadUrl(f"requests need an http URL, got {url!r}")
-    request = HttpRequest(method=HttpMethod.GET, uri=uri)
-    request.headers.append(_header("Host", authority(uri.host, uri.port)))
+    built = (_header("Host", authority(uri.host, uri.port)),)
     for name, value in headers:
-        set_header(request, name, value)
-    present = {header.name.lower() for header in request.headers}
+        built = _with_header(built, name, value)
     if content_type is not None:
-        request.headers.append(_header("Content-Type", content_type))
-    if "connection" not in present:
-        request.headers.append(_header("Connection", "close"))
+        built += (_header("Content-Type", content_type),)
+    if not _header_values(built, "Connection"):
+        built += (_header("Connection", "close"),)
     if size:
-        request.headers.append(_header("Content-Length", str(size)))
-    return uri, tuple(request.headers)
+        built += (_header("Content-Length", str(size)),)
+    return uri, built
 
 
 def make_response(
@@ -374,7 +383,7 @@ def make_response(
 ) -> HttpResponse:
     """Build a response with the fixed reason phrase for its status."""
     built = _response_headers(status, tuple(headers or ()), content_type, len(body))
-    return HttpResponse(status, REASON_PHRASES[status], list(built), body)
+    return HttpResponse(status, REASON_PHRASES[status], built, body)
 
 
 @functools.lru_cache(maxsize=64)
@@ -384,12 +393,10 @@ def _response_headers(
     """The Headers make_response builds for a body of size bytes."""
     if status not in REASON_PHRASES:
         raise ValueError(f"status {status} outside the lab subset")
-    built = [_header(name, value) for name, value in headers]
+    built = tuple(_header(name, value) for name, value in headers)
     if content_type is not None:
-        built.append(_header("Content-Type", content_type))
-    built.append(_header("Connection", "close"))
-    built.append(_header("Content-Length", str(size)))
-    return tuple(built)
+        built += (_header("Content-Type", content_type),)
+    return (*built, _header("Connection", "close"), _header("Content-Length", str(size)))
 
 
 def _split_head(raw: bytes) -> tuple[str, bytes]:
@@ -551,8 +558,7 @@ def parse_request(raw: bytes) -> HttpRequest:
     head, body = _split_head(raw)
     method, uri, headers, declared = _request_head(head)
     _check_body(declared, body)
-    # A fresh list per message, so set_header never reaches the memo.
-    return HttpRequest(method=method, uri=uri, headers=list(headers), body=body)
+    return HttpRequest(method, uri, headers, body)
 
 
 def parse_response(raw: bytes) -> HttpResponse:
@@ -564,7 +570,7 @@ def parse_response(raw: bytes) -> HttpResponse:
     head, body = _split_head(raw)
     status, reason, headers, declared = _response_head(head)
     _check_body(declared, body)
-    return HttpResponse(status=status, reason=reason, headers=list(headers), body=body)
+    return HttpResponse(status, reason, headers, body)
 
 
 def serialize(message: Message) -> bytes:
@@ -573,7 +579,7 @@ def serialize(message: Message) -> bytes:
         start = f"{message.method.value} {message.uri.target()} {HTTP_VERSION}"
     else:
         start = f"{HTTP_VERSION} {message.status} {message.reason}"
-    return _head_bytes(start, tuple(message.headers)) + message.body
+    return _head_bytes(start, message.headers) + message.body
 
 
 @functools.lru_cache(maxsize=64)

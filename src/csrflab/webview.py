@@ -74,7 +74,7 @@ from .httpcore import (
     get_header,
     make_request,
     parse_url,
-    set_header,
+    with_header,
 )
 # Sent through client.execute; still imported because the benchmark's
 # tracer (perfbench/tracing.py) wraps them by this module's name.
@@ -364,9 +364,9 @@ class WebViewInstance:
             raise PermissionDenied(f"internet permission not granted; cannot load {url}")
         cookie = cookiemod.cookies_for_request(self.cookie_store, request.uri, initiator)
         if cookie is not None:
-            set_header(request, "Cookie", cookie)
+            request = with_header(request, "Cookie", cookie)
         if origin_header is not None:
-            set_header(request, "Origin", origin_header)
+            request = with_header(request, "Origin", origin_header)
         return request, client.execute(request, self.transport)
 
     def _navigate(

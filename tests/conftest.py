@@ -5,7 +5,7 @@ import pytest
 from csrflab import client
 from csrflab.config import LabConfig
 from csrflab.forum import DefenseMode
-from csrflab.httpcore import HttpMethod, set_header
+from csrflab.httpcore import HttpMethod, with_header
 from csrflab.server import ForumServer
 from csrflab.transport import TcpTransport
 
@@ -39,7 +39,7 @@ def wire_get(transport, base_url, path, cookie=None, headers=None):
 
 def _send(transport, request, cookie):
     if cookie:
-        set_header(request, "Cookie", cookie)
+        request = with_header(request, "Cookie", cookie)
     return client.execute(request, transport)
 
 

@@ -26,6 +26,7 @@ from csrflab.harness import CookieCapture, ScenarioId, victim_login
 from csrflab.httpcore import (
     Header,
     HttpMethod,
+    HttpResponse,
     RequestUri,
     form_urldecode,
     form_urlencode,
@@ -34,7 +35,7 @@ from csrflab.httpcore import (
     parse_request,
     parse_response,
     serialize,
-    set_header,
+    with_header,
 )
 from csrflab.transport import TcpTransport
 from csrflab.webview import WebViewInstance, parse_html
@@ -162,24 +163,22 @@ def test_criterion_3_thousandfold_round_trips(capsys):
 
 def test_criterion_4_set_header_semantics(capsys):
     # Append when absent: the new header lands last.
-    request = make_request(HttpMethod.GET, "http://h/x")
-    set_header(request, "Cookie", "session_id=abc")
+    request = with_header(make_request(HttpMethod.GET, "http://h/x"), "Cookie", "session_id=abc")
     assert (request.headers[-1].name, request.headers[-1].value) == (
         "Cookie",
         "session_id=abc",
     )
     # Overwrite on repeat: one header, second value retained.
-    set_header(request, "Cookie", "session_id=def")
+    request = with_header(request, "Cookie", "session_id=def")
     cookies = [h for h in request.headers if h.name.lower() == "cookie"]
     assert [(h.name, h.value) for h in cookies] == [("Cookie", "session_id=def")]
     # Case-insensitive first-match: [X:1, Cookie:a, Y:2, Cookie:b]
-    # becomes [X:1, Cookie:z, Y:2, Cookie:b] under set_header("cookie").
-    response = make_response(200)
-    for name, value in [("X", "1"), ("Cookie", "a"), ("Y", "2"), ("Cookie", "b")]:
-        response.headers.append(Header(name, value))
-    set_header(response, "cookie", "z")
-    tail = [(h.name, h.value) for h in response.headers[-4:]]
-    assert tail == [("X", "1"), ("Cookie", "z"), ("Y", "2"), ("Cookie", "b")]
+    # becomes [X:1, Cookie:z, Y:2, Cookie:b] under with_header("cookie").
+    stored = [("X", "1"), ("Cookie", "a"), ("Y", "2"), ("Cookie", "b")]
+    response = HttpResponse(200, "OK", tuple(Header(name, value) for name, value in stored))
+    response = with_header(response, "cookie", "z")
+    pairs = [(h.name, h.value) for h in response.headers]
+    assert pairs == [("X", "1"), ("Cookie", "z"), ("Y", "2"), ("Cookie", "b")]
     with capsys.disabled():
         _ok(4, "append-when-absent, overwrite-first, case-insensitive match")
 

@@ -270,8 +270,10 @@ class TestServeCommand:
         # The with block closes the pipes.  The child gets SIGINT at its
         # default disposition even when this process ignores it, as a
         # background job of a non-interactive shell does.
+        # Under -X faulthandler, SIGABRT makes the child print every
+        # thread's stack to stderr before it dies.
         with subprocess.Popen(
-            [sys.executable, "-m", "csrflab.cli", "serve", "--port", "0",
+            [sys.executable, "-X", "faulthandler", "-m", "csrflab.cli", "serve", "--port", "0",
              "--policy", "csrf_token", "--seed", "99", "--snapshot", str(snapshot)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -295,8 +297,12 @@ class TestServeCommand:
                 try:
                     out, err = proc.communicate(timeout=10)
                 except subprocess.TimeoutExpired:
-                    proc.kill()
-                    out, err = proc.communicate(timeout=10)
+                    proc.send_signal(signal.SIGABRT)
+                    try:
+                        out, err = proc.communicate(timeout=10)
+                    except subprocess.TimeoutExpired:
+                        proc.kill()
+                        out, err = proc.communicate(timeout=10)
                 # Captured, so pytest shows it beside whichever check failed.
                 print(f"child exit {proc.returncode}\nstdout: {out!r}\nstderr: {err!r}")
         assert proc.returncode == 0

@@ -15,7 +15,7 @@ from csrflab.httpcore import (
     IllegalHeader,
     get_header,
     serialize,
-    set_header,
+    with_header,
 )
 from csrflab import transport as transport_module
 from csrflab.transport import (
@@ -55,8 +55,8 @@ def test_build_rejects_non_http():
 
 def test_set_cookie_header_overwrites():
     forged = client.build(HttpMethod.GET, "http://a/")
-    set_header(forged, "Cookie", "session_id=first")
-    set_header(forged, "Cookie", "session_id=second")
+    forged = with_header(forged, "Cookie", "session_id=first")
+    forged = with_header(forged, "Cookie", "session_id=second")
     cookies = [h for h in forged.headers if h.name.lower() == "cookie"]
     assert [(h.name, h.value) for h in cookies] == [("Cookie", "session_id=second")]
 
@@ -64,7 +64,7 @@ def test_set_cookie_header_overwrites():
 def test_set_cookie_header_rejects_injection():
     forged = client.build(HttpMethod.GET, "http://a/")
     with pytest.raises(IllegalHeader):
-        set_header(forged, "Cookie", "session_id=x\r\nX-Smuggled: 1")
+        with_header(forged, "Cookie", "session_id=x\r\nX-Smuggled: 1")
 
 
 def test_forged_pm_with_stolen_cookie(lab_server):
@@ -74,7 +74,7 @@ def test_forged_pm_with_stolen_cookie(lab_server):
     forged = client.build(
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
-    set_header(forged, "Cookie", cookie)
+    forged = with_header(forged, "Cookie", cookie)
     response = client.execute(forged, TcpTransport())
     assert response.status == 302
     post = server.app.posts[0]
@@ -90,7 +90,7 @@ def test_forged_pm_bypasses_samesite(lab_server):
     forged = client.build(
         HttpMethod.POST, f"{server.base_url()}/cgi-bin/Forum/new_pm.php", PM_PAIRS
     )
-    set_header(forged, "Cookie", cookie)
+    forged = with_header(forged, "Cookie", cookie)
     assert client.execute(forged, TcpTransport()).status == 302
     assert len(server.app.posts) == 1
 
@@ -124,7 +124,7 @@ def test_execute_sends_exactly_the_built_headers():
     thread.start()
     try:
         forged = client.build(HttpMethod.POST, f"http://127.0.0.1:{port}/x", [("a", "1")])
-        set_header(forged, "Cookie", "session_id=stolen")
+        forged = with_header(forged, "Cookie", "session_id=stolen")
         client.execute(forged, TcpTransport())
     finally:
         thread.join(timeout=5)

@@ -27,7 +27,7 @@ from csrflab.httpcore import (
     make_request,
     parse_response,
     serialize,
-    set_header,
+    with_header,
 )
 
 ATTACK_PM_PAIRS = [
@@ -47,7 +47,7 @@ def _request(path, method=HttpMethod.GET, pairs=None, cookie=None, headers=None)
         content_type="application/x-www-form-urlencoded" if pairs is not None else None,
     )
     if cookie:
-        set_header(req, "Cookie", cookie)
+        req = with_header(req, "Cookie", cookie)
     return req
 
 
@@ -135,8 +135,7 @@ def test_login_failures():
 )
 def test_register_and_login_answer_400_without_credentials(route, body, answer):
     app = _app()
-    request = _request(f"/cgi-bin/Forum/{route}", HttpMethod.POST)
-    request.body = body
+    request = _request(f"/cgi-bin/Forum/{route}", HttpMethod.POST)._replace(body=body)
     resp = app.handle_request(request)
     assert (resp.status, resp.body) == (400, answer)
     assert list(app.users) == ["sohini", "user1"] and app.sessions == {}
@@ -302,7 +301,7 @@ def test_new_pm_requires_session_and_fields():
     assert resp.status == 400
     assert b"recip" in resp.body
     request = _request("/cgi-bin/Forum/new_pm.php", HttpMethod.POST, cookie=cookie)
-    request.body = b"title=%ZZ"
+    request = request._replace(body=b"title=%ZZ")
     resp = app.handle_request(request)
     assert (resp.status, resp.body) == (400, b"malformed body")
     assert app.posts == []
@@ -686,6 +685,28 @@ def test_load_snapshot_rejects_a_record_with_other_keys(tmp_path, records, chang
     assert _post(app, "/cgi-bin/Forum/new_pm.php", pairs, cookie=cookie).status == 302
     doc = app.snapshot()
     change(doc[records][0])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptSnapshot):
+        ForumApp.load_snapshot(str(path))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc["sessions"][0].update(username="ghost"),
+        lambda doc: doc["sessions"].append({**doc["sessions"][0], "username": "user1"}),
+        lambda doc: doc["users"].append(dict(doc["users"][0])),
+        lambda doc: doc.update(extra=1),
+    ],
+    ids=["session-of-no-user", "session-id-twice", "username-twice", "extra-top-level-key"],
+)
+def test_load_snapshot_rejects_a_document_that_would_not_round_trip(tmp_path, change):
+    # Each of these used to load: a post on the ghost's session landed with
+    # a sender who is no user, and a repeated id or name dropped a record.
+    app = _scripted_run(42)
+    doc = app.snapshot()
+    change(doc)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptSnapshot):
