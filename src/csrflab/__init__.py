@@ -6,12 +6,13 @@ request forgery scenarios against four server-side defenses.
 """
 
 # Every csrf-lab command is a fresh process, so the package keeps its
-# import cheap: its records are typing.NamedTuples (frozen values) and
-# __slots__ classes (mutable ones), never dataclasses.  On Python 3.11,
-# importing dataclasses (with inspect, ast and dis) and applying
-# @dataclass to the package's 20 records cost about a fifth of
-# "import csrflab.cli": 65 ms with them, 52 ms without (-X importtime
-# medians of 40 alternating runs).
+# import cheap: its records are typing.NamedTuples, never dataclasses.
+# Each is built once with all its fields; a changed record is a new one
+# (_replace).  The one __slots__ class, forum.TokenSource, holds a
+# counter that really changes.  On Python 3.11, importing dataclasses
+# (with inspect, ast and dis) and applying @dataclass to the package's
+# 20 records cost about a fifth of "import csrflab.cli": 65 ms with
+# them, 52 ms without (-X importtime medians of 40 alternating runs).
 #
 # For the same reason, a module that a clean run never executes is
 # imported where it is used, not at the top of the module that uses it:

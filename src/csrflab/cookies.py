@@ -1,11 +1,13 @@
 """Cookie manager: storage, getCookie queries, and request attachment.
 
 Cookies here are host-only (the domain is exactly the response host; no
-suffix matching) and live for the duration of a run.  The accepted
-Set-Cookie grammar is ``name=value`` followed by any mix of ``; Path=<p>``
-and ``; SameSite=Strict`` (attribute names matched case-insensitively);
-anything else in a header makes that one header malformed, and it is
-skipped and logged while the rest of the response is honored.
+suffix matching) and live for the duration of a run.  A store is a plain
+list of Cookies in storage order, which store_from_response fills in
+place.  The accepted Set-Cookie grammar is ``name=value`` followed by
+any mix of ``; Path=<p>`` and ``; SameSite=Strict`` (attribute names
+matched case-insensitively); anything else in a header makes that one
+header malformed, and it is skipped and logged while the rest of the
+response is honored.
 
 One scoping rule serves two lookups.  A cookie is in scope for a URL
 when its domain is the URL's host and its path path-matches the URL's
@@ -108,13 +110,6 @@ class Cookie(_CookieFields):
         return self
 
 
-class CookieStore:
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: list[Cookie] = []
-
-
 def parse_set_cookie(header_value: str, host: str) -> Cookie:
     """One Set-Cookie header to a Cookie; raises MalformedSetCookie."""
     parts = header_value.split(";")
@@ -143,8 +138,8 @@ def parse_set_cookie(header_value: str, host: str) -> Cookie:
 
 
 def store_from_response(
-    store: CookieStore, url: RequestUri, response: HttpResponse
-) -> CookieStore:
+    store: list[Cookie], url: RequestUri, response: HttpResponse
+) -> list[Cookie]:
     """Store every well-formed Set-Cookie header under the url's host.
 
     A later cookie with the same (name, domain, path) replaces the earlier
@@ -162,26 +157,26 @@ def store_from_response(
                 "skipping malformed Set-Cookie %r: %s", header_value, exc
             )
             continue
-        for i, existing in enumerate(store.entries):
+        for i, existing in enumerate(store):
             if (existing.name, existing.domain, existing.path) == (
                 cookie.name,
                 cookie.domain,
                 cookie.path,
             ):
-                store.entries[i] = cookie
+                store[i] = cookie
                 break
         else:
-            store.entries.append(cookie)
+            store.append(cookie)
     return store
 
 
-def _scoped(store: CookieStore, uri: RequestUri, withhold_strict: bool) -> str | None:
+def _scoped(store: list[Cookie], uri: RequestUri, withhold_strict: bool) -> str | None:
     """The cookies scoped to uri's host and path, joined in storage
     order; None when there are none."""
     host = uri.host.lower()
     pairs = [
         f"{c.name}={c.value}"
-        for c in store.entries
+        for c in store
         if c.domain == host
         and _path_matches(uri.path, c.path)
         and not (withhold_strict and c.same_site is SameSite.STRICT)
@@ -195,7 +190,7 @@ def _path_matches(request_path: str, cookie_path: str) -> bool:
     return request_path == cookie_path or request_path.startswith(directory)
 
 
-def get_cookie(store: CookieStore, url: str) -> str | None:
+def get_cookie(store: list[Cookie], url: str) -> str | None:
     """The hosting application's raw query: every cookie scoped to the
     url.  SameSite is deliberately not consulted."""
     uri = parse_url(url)
@@ -205,7 +200,7 @@ def get_cookie(store: CookieStore, url: str) -> str | None:
 
 
 def cookies_for_request(
-    store: CookieStore, uri: RequestUri, initiator: Origin | None
+    store: list[Cookie], uri: RequestUri, initiator: Origin | None
 ) -> str | None:
     """Browser-side attachment: like get_cookie, but Strict cookies are
     withheld when the initiating document's origin (None for an

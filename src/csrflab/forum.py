@@ -16,6 +16,11 @@ Four defense policies can be mounted, exactly one per server instance:
 
 Randomness (session ids, tokens, salts) comes from a seeded counter so
 identical request sequences replay byte-identically.
+
+Users, sessions and posts are NamedTuples, set once.  The one change to
+a session, the CSRF token its first form page issues, puts a new record
+in the old one's place, which keeps its position in the sessions dict
+and so in the snapshot.
 """
 
 from __future__ import annotations
@@ -96,11 +101,10 @@ class User(NamedTuple):
     password_digest: str
 
 
-class SessionRecord:
-    __slots__ = ("session_id", "username", "csrf_token")
-
-    def __init__(self, session_id: str, username: str, csrf_token: str | None) -> None:
-        self.session_id, self.username, self.csrf_token = session_id, username, csrf_token
+class SessionRecord(NamedTuple):
+    session_id: str
+    username: str
+    csrf_token: str | None
 
 
 class PostRecord(NamedTuple):
@@ -113,14 +117,7 @@ class PostRecord(NamedTuple):
 
     def to_dict(self) -> dict:
         """The post as both the admin view and the snapshot store it."""
-        return {
-            "kind": self.kind.value,
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "title": self.title,
-            "message": self.message,
-            "seq": self.seq,
-        }
+        return {**self._asdict(), "kind": self.kind.value}
 
 
 def _digest(salt: str, password: str) -> str:
@@ -241,7 +238,8 @@ class ForumApp:
         rows = []
         if self.policy is DefenseMode.CSRF_TOKEN:
             if session.csrf_token is None:
-                session.csrf_token = self.tokens.next_token()
+                session = session._replace(csrf_token=self.tokens.next_token())
+                self.sessions[session.session_id] = session
             rows.append(
                 f'<input type="hidden" name="csrf_token" value="{session.csrf_token}"/>'
             )
@@ -441,14 +439,8 @@ class ForumApp:
             "seed": self.tokens.seed,
             "token_counter": self.tokens.counter,
             "next_seq": len(self.posts) + 1,
-            "users": [
-                {"username": u.username, "salt": u.salt, "password_digest": u.password_digest}
-                for u in self.users.values()
-            ],
-            "sessions": [
-                {"session_id": s.session_id, "username": s.username, "csrf_token": s.csrf_token}
-                for s in self.sessions.values()
-            ],
+            "users": [user._asdict() for user in self.users.values()],
+            "sessions": [session._asdict() for session in self.sessions.values()],
             "posts": [post.to_dict() for post in self.posts],
         }
 
@@ -498,7 +490,13 @@ class ForumApp:
         for i, p in enumerate(doc["posts"]):
             if type(p["seq"]) is not int or p["seq"] != i + 1:
                 raise ValueError(f"post {i} has seq {p['seq']!r}, not {i + 1}")
-            app.posts.append(PostRecord(**{**p, "kind": PostKind(p["kind"])}))
+            post = PostRecord(**{**p, "kind": PostKind(p["kind"])})
+            # As the handlers make them: a post is from a user, a private
+            # message is to a user, and a topic is to no one.
+            recipients = app.users if post.kind is PostKind.PRIVATE_MESSAGE else (None,)
+            if post.sender not in app.users or post.recipient not in recipients:
+                raise ValueError(f"post {i} is from {post.sender!r} to {post.recipient!r}")
+            app.posts.append(post)
         # A repeated username or session_id, an extra key or a next_seq that is
         # not len(posts) + 1 would not survive the load: the state must save
         # back to exactly the document.

@@ -74,22 +74,18 @@ class ScenarioId(str, enum.Enum):
     A4_FORGED_CLIENT = "A4"
 
 
-class AttackOutcome:
-    __slots__ = (
-        "scenario", "defense", "spoof", "success", "http_status", "evidence", "notes",
-        "state_before", "state_after",
-    )
-
-    def __init__(
-        self, scenario: ScenarioId, defense: DefenseMode, spoof: bool, success: bool,
-        http_status: int, evidence: list[dict], notes: str,
-        state_before: dict | None = None, state_after: dict | None = None,
-    ) -> None:
-        self.scenario, self.defense, self.spoof, self.success = scenario, defense, spoof, success
-        self.http_status, self.evidence, self.notes = http_status, evidence, notes
-        # Server state around the attack step, for audits; not part of
-        # the report schema.
-        self.state_before, self.state_after = state_before, state_after
+class AttackOutcome(NamedTuple):
+    scenario: ScenarioId
+    defense: DefenseMode
+    spoof: bool
+    success: bool
+    http_status: int
+    evidence: list[dict]
+    notes: str
+    # Server state around the attack step, for audits; not part of the
+    # report schema.
+    state_before: dict | None = None
+    state_after: dict | None = None
 
     def to_cell(self) -> dict:
         return {
@@ -104,7 +100,7 @@ class AttackOutcome:
 
 
 class MatrixReport(NamedTuple):
-    grid: list[AttackOutcome]
+    grid: tuple[AttackOutcome, ...]
     seed: int
 
     def to_json(self) -> str:
@@ -429,7 +425,7 @@ def _attack(scenario, view, lab, stolen_cookie, spoof_origin) -> tuple[int, str]
 def run_matrix(seed: int = DEFAULT_SEED, in_process: bool = False) -> MatrixReport:
     """Every cell of matrix_cells() in order, all on one lab: over TCP one
     ephemeral-port server serves the whole matrix."""
-    report = MatrixReport(grid=[], seed=seed)
+    grid = []
     with open_lab(seed, in_process) as lab:
         for scenario, defense, spoof in matrix_cells():
             try:
@@ -444,8 +440,8 @@ def run_matrix(seed: int = DEFAULT_SEED, in_process: bool = False) -> MatrixRepo
                     evidence=[],
                     notes=f"ScenarioSetupFailed: {exc}",
                 )
-            report.grid.append(outcome)
-    return report
+            grid.append(outcome)
+    return MatrixReport(tuple(grid), seed)
 
 
 def compare_with_expected(report: MatrixReport) -> list[str]:

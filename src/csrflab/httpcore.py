@@ -253,7 +253,10 @@ class Header(_HeaderFields):
 
 class _Message:
     """Equal to a message of its own class with equal fields, and to no
-    other tuple.  A message is a NamedTuple, so no field can be set."""
+    other tuple.  A message is a NamedTuple, so no field can be set, and
+    each class's __new__ stores its headers as a tuple, so a list it was
+    built from can be changed without changing it.  _replace builds
+    without __new__: a headers value passed to it must be a tuple."""
 
     __slots__ = ()
 
@@ -278,6 +281,9 @@ class _RequestFields(NamedTuple):
 class HttpRequest(_Message, _RequestFields):
     __slots__ = ()
 
+    def __new__(cls, method, uri, headers=(), body=b"") -> HttpRequest:
+        return tuple.__new__(cls, (method, uri, tuple(headers), body))
+
 
 class _ResponseFields(NamedTuple):
     status: int = 200
@@ -288,6 +294,9 @@ class _ResponseFields(NamedTuple):
 
 class HttpResponse(_Message, _ResponseFields):
     __slots__ = ()
+
+    def __new__(cls, status=200, reason="OK", headers=(), body=b"") -> HttpResponse:
+        return tuple.__new__(cls, (status, reason, tuple(headers), body))
 
 
 Message = HttpRequest | HttpResponse

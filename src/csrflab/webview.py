@@ -16,9 +16,10 @@ A lab loads the same few pages over and over (the login page, the
 attack page), so two pure functions are memoized with functools.lru_cache:
 
 - _scan, 16 entries: the html.parser pass over a distinct page text, its
-  raw forms and auto-submit selectors.  An entry pins the text and about
-  as much again in parsed strings.  A response body has no cap, so
-  neither has this memo; the longest page in a matrix is 574 characters;
+  HtmlForms with their actions as written, and its auto-submit
+  selectors.  An entry pins the text and about as much again in parsed
+  strings.  A response body has no cap, so neither has this memo; the
+  longest page in a matrix is 574 characters;
 - _resolve, 16 entries: urljoin of a (base, reference) pair, a form
   action or a Location against the URL it came with.  An entry pins the
   two texts and the result, about twice their length: a Location is at
@@ -29,7 +30,9 @@ attack page), so two pure functions are memoized with functools.lru_cache:
 Both are exact, being pure functions that return immutable data, and an
 input that raises is not cached.  Resolving actions against the page
 URL, the origin, the auto-submit choice and its warning run on every
-parse.
+parse.  A DocumentContext and a LoadResult are NamedTuples, each built
+once with every field: a document's forms and auto-submit, and a load's
+nested submission, are known before the record is made.
 
 Navigation model.  Every network navigation follows up to five 302
 hops.  The navigation hook (the shouldOverrideUrlLoading analog) is
@@ -64,7 +67,7 @@ from urllib.parse import urljoin
 
 from . import client
 from . import cookies as cookiemod
-from .cookies import CookieStore, Origin
+from .cookies import Cookie, Origin
 from .httpcore import (
     BadUrl,
     HttpMethod,
@@ -124,27 +127,17 @@ class HtmlForm(NamedTuple):
     fields: tuple[tuple[str, str], ...] = ()
 
 
-class DocumentContext:
+class DocumentContext(NamedTuple):
     """A parsed page: its origin, its forms, and its auto-submit, if any."""
 
-    __slots__ = ("origin", "forms", "auto_submit")
-
-    def __init__(self, origin: Origin, forms: list[HtmlForm] | None = None) -> None:
-        self.origin = origin
-        self.forms = [] if forms is None else forms
-        # Form selector: a str is an element id, an int indexes document.forms.
-        # parse_html sets it only to a selector that resolves to a form.
-        self.auto_submit: int | str | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.origin, self.forms, self.auto_submit) == (
-            other.origin, other.forms, other.auto_submit
-        )
+    origin: Origin
+    forms: tuple[HtmlForm, ...] = ()
+    # Form selector: a str is an element id, an int indexes document.forms.
+    # parse_html sets it only to a selector that resolves to a form.
+    auto_submit: int | str | None = None
 
 
-class LoadResult:
+class LoadResult(NamedTuple):
     """What one emulator operation did.
 
     status and response describe the primary network exchange (None for
@@ -154,15 +147,11 @@ class LoadResult:
     the navigation before any bytes hit the wire.
     """
 
-    __slots__ = ("status", "response", "document", "overridden", "submission")
-
-    def __init__(
-        self, status: int | None = None, response: HttpResponse | None = None,
-        overridden: bool = False,
-    ) -> None:
-        self.status, self.response, self.overridden = status, response, overridden
-        self.document: DocumentContext | None = None
-        self.submission: LoadResult | None = None
+    status: int | None = None
+    response: HttpResponse | None = None
+    document: DocumentContext | None = None
+    overridden: bool = False
+    submission: LoadResult | None = None
 
     def deepest(self) -> "LoadResult":
         """The last load of the auto-submit chain this one started."""
@@ -228,24 +217,20 @@ def _resolve(base: str, reference: str) -> str:
         raise BadUrl(f"cannot resolve {reference!r} against {base}") from exc
 
 
-# A raw form is (id, action, method, fields): the action as written, not
-# yet resolved against the page URL, and None when the tag has none.
-_RawForm = tuple[str | None, str | None, HttpMethod, tuple[tuple[str, str], ...]]
-
-
 @functools.lru_cache(maxsize=16)
-def _scan(text: str) -> tuple[tuple[_RawForm, ...], tuple[int | str, ...]]:
-    """The tokenizer pass over text: its raw forms, and the auto-submit
-    selectors of its scripts in order.  A pure function of text, returning
-    immutable data only, so every caller of one text shares one result."""
+def _scan(text: str) -> tuple[tuple[HtmlForm, ...], tuple[int | str, ...]]:
+    """The tokenizer pass over text: its forms, their actions as written
+    (None when the tag has none), and the auto-submit selectors of its
+    scripts in order.  A pure function of text, returning immutable data
+    only, so every caller of one text shares one result."""
     scanner = _FormScanner()
     scanner.feed(text)
     scanner.close()
     forms = tuple(
-        (
-            raw["id"],
+        HtmlForm(
             raw["action"],
             HttpMethod.POST if raw["method"] == "post" else HttpMethod.GET,
+            raw["id"],
             tuple(raw["fields"]),
         )
         for raw in scanner.raw_forms
@@ -274,10 +259,10 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
     url or origin, and the warning, runs on every call, and each call
     builds its own DocumentContext.
     """
-    raw_forms, selectors = _scan(text)
+    scanned, selectors = _scan(text)
 
-    forms: list[HtmlForm] = []
-    for form_id, action, method, fields in raw_forms:
+    kept: list[HtmlForm] = []
+    for action, method, form_id, fields in scanned:
         if action is None:
             continue
         try:
@@ -287,26 +272,27 @@ def parse_html(text: str, origin: Origin, url: str | None = None) -> DocumentCon
                 continue
         except BadUrl:
             continue
-        forms.append(HtmlForm(action=action, method=method, id=form_id, fields=fields))
-    document = DocumentContext(origin=origin, forms=forms)
+        kept.append(HtmlForm(action, method, form_id, fields))
+    forms = tuple(kept)
 
+    auto_submit = None
     for selector in selectors:
-        if resolve_form(document, selector) is not None:
-            document.auto_submit = selector
+        if resolve_form(forms, selector) is not None:
+            auto_submit = selector
             break
         import logging
         logging.getLogger(__name__).warning(
             "auto-submit selector %r matches no form; dropped", selector
         )
-    return document
+    return DocumentContext(origin, forms, auto_submit)
 
 
-def resolve_form(document: DocumentContext, selector: int | str) -> HtmlForm | None:
+def resolve_form(forms: tuple[HtmlForm, ...], selector: int | str) -> HtmlForm | None:
     if isinstance(selector, int):
-        if 0 <= selector < len(document.forms):
-            return document.forms[selector]
+        if 0 <= selector < len(forms):
+            return forms[selector]
         return None
-    for form in document.forms:
+    for form in forms:
         if form.id == selector:
             return form
     return None
@@ -326,7 +312,7 @@ class WebViewInstance:
         self.transport = transport
         self.assets = assets or {}
         self.internet_permitted = internet_permitted
-        self.cookie_store = CookieStore()
+        self.cookie_store: list[Cookie] = []
         self.navigation_hook = None
         self.current_document: DocumentContext | None = None
         self._in_hook = False
@@ -408,20 +394,20 @@ class WebViewInstance:
             origin=Origin.from_uri(request.uri),
             url=target,
         )
-        return self._land(LoadResult(status=primary.status, response=primary), document)
+        return self._land(document, primary.status, primary)
 
-    def _land(self, result: LoadResult, document: DocumentContext) -> LoadResult:
-        """Make document the current page of result, then let it
-        auto-submit."""
+    def _land(
+        self, document: DocumentContext, status: int | None = None,
+        response: HttpResponse | None = None,
+    ) -> LoadResult:
+        """Make document the current page, then let it auto-submit."""
         self.current_document = document
-        result.document = document
-        result.submission = self._maybe_auto_submit(document)
-        return result
+        return LoadResult(status, response, document, submission=self._maybe_auto_submit(document))
 
     def _maybe_auto_submit(self, document: DocumentContext) -> LoadResult | None:
         if document.auto_submit is None:
             return None
-        form = resolve_form(document, document.auto_submit)
+        form = resolve_form(document.forms, document.auto_submit)
         if self._auto_depth >= _MAX_AUTO_SUBMITS:
             import logging
             logging.getLogger(__name__).warning(
@@ -445,7 +431,7 @@ class WebViewInstance:
         if uri.scheme == "http":
             return self._navigate(HttpMethod.GET, url, b"", None, initiator=None)
         document = parse_html(self._read_local(uri), origin=Origin.opaque_origin(), url=url)
-        return self._land(LoadResult(), document)
+        return self._land(document)
 
     def _read_local(self, uri: RequestUri) -> str:
         """The text of an asset:/// name in the bundle, or of a file:///
@@ -479,7 +465,7 @@ class WebViewInstance:
         else:
             raise BadEncoding(f"encoding must be UTF-8 or base64, got {encoding!r}")
         document = parse_html(text, origin=Origin.opaque_origin(), url=None)
-        return self._land(LoadResult(), document)
+        return self._land(document)
 
     def post_url(self, url: str, body: bytes) -> LoadResult:
         """POST raw body bytes to an http URL.  API-initiated: no Origin
@@ -523,7 +509,7 @@ class WebViewInstance:
         self._guard_entry()
         if self.current_document is None:
             raise NoSuchForm("no document loaded")
-        form = resolve_form(self.current_document, form_selector)
+        form = resolve_form(self.current_document.forms, form_selector)
         if form is None:
             raise NoSuchForm(f"no form matches selector {form_selector!r}")
         fields = list(form.fields)

@@ -15,7 +15,6 @@ import time
 from csrflab import cli, harness
 from csrflab.cookies import (
     Cookie,
-    CookieStore,
     Origin,
     SameSite,
     cookies_for_request,
@@ -189,9 +188,9 @@ def test_criterion_4_set_header_semantics(capsys):
 def _random_store(rng):
     hosts = ["alpha.lab", "beta.lab", "gamma.lab"]
     paths = ["/", "/forum", "/forum/inner", "/other"]
-    store = CookieStore()
+    store = []
     for index in range(rng.randint(1, 12)):
-        store.entries.append(
+        store.append(
             Cookie(
                 name=f"c{index}",
                 value=_chars(rng, string.ascii_lowercase, 1, 8),
@@ -208,7 +207,7 @@ def test_criterion_5_cookie_scoping_properties(capsys):
     checked_leaks = checked_strict = 0
     for _ in range(500):
         store = _random_store(rng)
-        by_name = {c.name: c for c in store.entries}
+        by_name = {c.name: c for c in store}
         for host in ("alpha.lab", "beta.lab", "gamma.lab", "delta.lab"):
             for path in ("/", "/forum", "/forum/inner"):
                 header = get_cookie(store, f"http://{host}{path}")

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from csrflab.cookies import (
     Cookie,
-    CookieStore,
     MalformedSetCookie,
     Origin,
     SameSite,
@@ -25,26 +24,26 @@ def _store_one(store, host, header_value):
 
 
 def test_store_decomposes_set_cookie():
-    store = _store_one(CookieStore(), "forum.local", "session_id=9fe1; Path=/")
-    assert store.entries == [
+    store = _store_one([], "forum.local", "session_id=9fe1; Path=/")
+    assert store == [
         Cookie("session_id", "9fe1", "forum.local", "/", SameSite.NONE)
     ]
 
 
 def test_store_samesite_strict_attribute():
     store = _store_one(
-        CookieStore(), "forum.local", "session_id=abc; Path=/; SameSite=Strict"
+        [], "forum.local", "session_id=abc; Path=/; SameSite=Strict"
     )
-    assert store.entries[0].same_site is SameSite.STRICT
+    assert store[0].same_site is SameSite.STRICT
 
 
 def test_replacement_keeps_position_and_latest_value():
-    store = CookieStore()
+    store = []
     _store_one(store, "forum.local", "a=1")
     _store_one(store, "forum.local", "b=2")
     _store_one(store, "forum.local", "a=3")
     assert get_cookie(store, "http://forum.local/") == "a=3; b=2"
-    assert len(store.entries) == 2
+    assert len(store) == 2
 
 
 def test_malformed_headers_skipped_and_reported(caplog):
@@ -57,10 +56,10 @@ def test_malformed_headers_skipped_and_reported(caplog):
             ("Set-Cookie", "fine=3; SameSite=Strict"),
         ],
     )
-    store = CookieStore()
+    store = []
     with caplog.at_level(logging.WARNING, logger="csrflab.cookies"):
         store_from_response(store, parse_url("http://forum.local/"), response)
-    assert [c.name for c in store.entries] == ["good", "fine"]
+    assert [c.name for c in store] == ["good", "fine"]
     assert caplog.text.count("skipping malformed Set-Cookie") == 2
 
 
@@ -95,11 +94,11 @@ def test_cookie_rejects_an_illegal_name(name):
 
 
 def test_get_cookie_empty_store():
-    assert get_cookie(CookieStore(), "http://forum.local/") is None
+    assert get_cookie([], "http://forum.local/") is None
 
 
 def test_get_cookie_for_forum_url():
-    store = _store_one(CookieStore(), "forum.local", "session_id=deadbeef; Path=/")
+    store = _store_one([], "forum.local", "session_id=deadbeef; Path=/")
     got = get_cookie(store, "http://forum.local/cgi-bin/Forum/index.php")
     assert got == "session_id=deadbeef"
 
@@ -107,7 +106,7 @@ def test_get_cookie_for_forum_url():
 def test_get_cookie_host_isolation():
     # Brute force over a 3-host fixture: each host sees exactly its own.
     hosts = ["forum.local", "evil.local", "other.host"]
-    store = CookieStore()
+    store = []
     for host in hosts:
         _store_one(store, host, f"c_{host.split('.')[0]}=x")
     for host in hosts:
@@ -116,12 +115,12 @@ def test_get_cookie_host_isolation():
 
 
 def test_get_cookie_port_does_not_partition():
-    store = _store_one(CookieStore(), "forum.local", "a=1")
+    store = _store_one([], "forum.local", "a=1")
     assert get_cookie(store, "http://forum.local:8080/") == "a=1"
 
 
 def test_get_cookie_path_prefix():
-    store = _store_one(CookieStore(), "forum.local", "a=1; Path=/cgi-bin")
+    store = _store_one([], "forum.local", "a=1; Path=/cgi-bin")
     assert get_cookie(store, "http://forum.local/cgi-bin/Forum/x.php") == "a=1"
     assert get_cookie(store, "http://forum.local/other") is None
 
@@ -129,36 +128,36 @@ def test_get_cookie_path_prefix():
 def test_path_match_stops_at_a_segment_boundary():
     # RFC 6265 §5.1.4: a cookie path covers itself and what lies below
     # it, not every path that happens to start with the same letters.
-    store = _store_one(CookieStore(), "forum.local", "a=1; Path=/cgi-bin")
+    store = _store_one([], "forum.local", "a=1; Path=/cgi-bin")
     for path in ("/cgi-bin", "/cgi-bin/", "/cgi-bin/Forum/x.php"):
         assert get_cookie(store, f"http://forum.local{path}") == "a=1", path
     for path in ("/cgi-binary", "/cgi-bin.php", "/cgi"):
         assert get_cookie(store, f"http://forum.local{path}") is None, path
         uri = parse_url(f"http://forum.local{path}")
         assert cookies_for_request(store, uri, None) is None, path
-    slashed = _store_one(CookieStore(), "forum.local", "b=2; Path=/cgi-bin/")
+    slashed = _store_one([], "forum.local", "b=2; Path=/cgi-bin/")
     assert get_cookie(slashed, "http://forum.local/cgi-bin/x") == "b=2"
     assert get_cookie(slashed, "http://forum.local/cgi-bin") is None
 
 
 def test_get_cookie_ignores_samesite():
-    store = _store_one(CookieStore(), "forum.local", "s=1; SameSite=Strict")
+    store = _store_one([], "forum.local", "s=1; SameSite=Strict")
     assert get_cookie(store, "http://forum.local/") == "s=1"
 
 
 @pytest.mark.parametrize("url", ["file:///etc/x", "asset:///a.html", "::nope::"])
 def test_get_cookie_rejects_non_http(url):
     with pytest.raises(BadUrl):
-        get_cookie(CookieStore(), url)
+        get_cookie([], url)
 
 
 @pytest.mark.parametrize("url", ["file:///etc/x", "asset:///a.html"])
 def test_store_from_response_rejects_non_http(url):
-    store = CookieStore()
+    store = []
     response = make_response(200, headers=[("Set-Cookie", "s=1")])
     with pytest.raises(BadUrl):
         store_from_response(store, parse_url(url), response)
-    assert store.entries == []
+    assert store == []
 
 
 @pytest.mark.parametrize("value", ["x;y", "x\ny", "x\r"])
@@ -198,7 +197,7 @@ def test_origin_same_site_rules():
 def test_strict_attachment_enumeration():
     # All initiator/target combinations for a Strict cookie on forum.local.
     store = _store_one(
-        CookieStore(), "forum.local", "s=1; Path=/; SameSite=Strict"
+        [], "forum.local", "s=1; Path=/; SameSite=Strict"
     )
     cases = [
         (None, True),      # API-initiated: attaches
@@ -214,7 +213,7 @@ def test_strict_attachment_enumeration():
 
 
 def test_lax_free_none_cookie_attaches_cross_site():
-    store = _store_one(CookieStore(), "forum.local", "p=2; Path=/")
+    store = _store_one([], "forum.local", "p=2; Path=/")
     assert cookies_for_request(store, parse_url("http://forum.local:8080/"), OPAQUE) == "p=2"
 
 
@@ -231,14 +230,14 @@ _sites = st.sampled_from(list(SameSite))
 def _stores(draw):
     # Names are kept unique across the whole store so a returned
     # name identifies exactly one cookie when checking exclusions.
-    store = CookieStore()
+    store = []
     seen = set()
     for _ in range(draw(st.integers(0, 6))):
         name = draw(_names)
         if name in seen:
             continue
         seen.add(name)
-        store.entries.append(
+        store.append(
             Cookie(name, draw(_values), draw(_hosts), draw(_paths), draw(_sites))
         )
     return store
@@ -248,7 +247,7 @@ def _stores(draw):
 def test_no_cross_host_leakage(store, host, path):
     got = get_cookie(store, f"http://{host}{path}") or ""
     returned = {p.split("=")[0] for p in got.split("; ") if p}
-    allowed = {c.name for c in store.entries if c.domain == host}
+    allowed = {c.name for c in store if c.domain == host}
     assert returned <= allowed
 
 
@@ -267,5 +266,5 @@ def test_strict_exclusion_soundness(store, host, path, initiator):
         return
     got = cookies_for_request(store, uri, initiator) or ""
     returned = {p.split("=")[0] for p in got.split("; ") if p}
-    strict = {c.name for c in store.entries if c.same_site is SameSite.STRICT}
+    strict = {c.name for c in store if c.same_site is SameSite.STRICT}
     assert returned.isdisjoint(strict)

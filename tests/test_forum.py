@@ -191,7 +191,7 @@ def test_check_defenses_csrf_token():
     session = app.sessions[cookie.split("=")[1]]
     req = _request("/cgi-bin/Forum/new_pm.php", HttpMethod.POST, pairs=[], cookie=cookie)
     assert app.check_defenses(session, req, []) == Deny("missing_or_bad_token")
-    session.csrf_token = "a" * 32
+    session = session._replace(csrf_token="a" * 32)
     assert app.check_defenses(session, req, [("csrf_token", "a" * 32)]) is None
     assert app.check_defenses(session, req, [("csrf_token", "b" * 32)]) == Deny(
         "missing_or_bad_token"
@@ -631,7 +631,8 @@ def test_save_snapshot_syncs_the_directory_after_the_rename(tmp_path, monkeypatc
 
 
 _ONE_POST = {
-    "policy": "none", "seed": 1, "token_counter": 3, "next_seq": 2, "users": [],
+    "policy": "none", "seed": 1, "token_counter": 3, "next_seq": 2,
+    "users": [{"username": "a", "salt": "s", "password_digest": "d"}],
     "sessions": [],
     "posts": [
         {"kind": "topic", "sender": "a", "recipient": None, "title": "t", "message": "m", "seq": 1}
@@ -710,6 +711,20 @@ def test_load_snapshot_rejects_a_document_that_would_not_round_trip(tmp_path, ch
     path = tmp_path / "state.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptSnapshot):
+        ForumApp.load_snapshot(str(path))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"sender": "ghost"}, {"kind": "private_message", "recipient": "ghost"}, {"recipient": "a"}],
+    ids=["post-from-no-user", "message-to-no-user", "topic-to-a-user"],
+)
+def test_load_snapshot_rejects_a_post_the_forum_could_not_make(tmp_path, change):
+    doc = json.loads(json.dumps(_ONE_POST))
+    doc["posts"][0].update(change)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptSnapshot, match="post 0"):
         ForumApp.load_snapshot(str(path))
 
 

@@ -482,18 +482,20 @@ class TestMatrix:
 
     def test_compare_flags_missing_and_wrong_cells(self):
         report = run_matrix(in_process=True)
-        report.grid[0].success = False
-        dropped = report.grid.pop()
-        report.grid.append(
-            AttackOutcome(ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE, True, True, 302, [], "")
+        first, *middle, _ = report.grid
+        grid = (
+            first._replace(success=False),
+            *middle,
+            AttackOutcome(
+                ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE, True, True, 302, [], ""
+            ),
         )
-        problems = harness.compare_with_expected(report)
+        problems = harness.compare_with_expected(report._replace(grid=grid))
         assert any("expected" in p for p in problems)
         assert any("missing cell" in p for p in problems)
         assert [p for p in problems if "('A1', 'none', True)" in p] == [
             "unexpected cell ('A1', 'none', True)"
         ]
-        report.grid.append(dropped)
 
     def test_expected_grid_shape(self):
         grid = harness.EXPECTED_GRID

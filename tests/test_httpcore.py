@@ -463,6 +463,23 @@ def test_no_field_of_a_message_can_be_set_or_deleted(build):
     assert message == build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda headers: HttpRequest(HttpMethod.GET, RequestUri("http", "a"), headers),
+        lambda headers: HttpResponse(headers=headers),
+    ],
+    ids=["request", "response"],
+)
+def test_a_message_built_from_a_list_keeps_its_headers(build):
+    headers = [Header("Host", "a")]
+    message = build(headers)
+    sent = serialize(message)
+    headers.append(Header("X-Late", "b"))
+    assert message.headers == (Header("Host", "a"),)
+    assert serialize(message) == sent
+
+
 def test_a_message_equals_only_a_message_of_its_class_with_equal_fields():
     request = make_request(HttpMethod.GET, "http://a/")
     response = HttpResponse(headers=request.headers)

@@ -16,6 +16,7 @@ from csrflab.fixtures import (
     attack_form_html,
 )
 from csrflab.forum import DefenseMode, ForumApp, PostKind
+from csrflab.harness import AttackOutcome, MatrixReport, ScenarioId
 from csrflab.httpcore import BadUrl, HttpMethod, get_header, make_response, serialize
 from csrflab import webview
 from csrflab.transport import InProcessTransport, TcpTransport
@@ -171,7 +172,6 @@ def test_parse_drops_unusable_forms():
 def test_a_document_is_never_equal_to_another_type():
     doc = DocumentContext(origin=OPAQUE)
     assert doc == DocumentContext(origin=OPAQUE)
-    assert doc.__eq__(OPAQUE) is NotImplemented
     assert doc != OPAQUE
 
 
@@ -229,13 +229,40 @@ def test_parse_memo_agrees_with_an_uncached_scan(text, url):
     assert webview._scan.cache_info()[:2] == (1, 1)  # hits, misses
 
 
-def test_parse_memo_is_not_shared_between_documents():
-    doc = parse_html(ATTACK_PAGE_HTML, origin=OPAQUE)
-    expected = parse_html(ATTACK_PAGE_HTML, origin=OPAQUE)
-    doc.forms.clear()
-    doc.auto_submit = None
-    assert parse_html(ATTACK_PAGE_HTML, origin=OPAQUE) == expected
-    assert expected.forms and expected.auto_submit == "post-form"
+def _attack_outcome():
+    return AttackOutcome(
+        ScenarioId.A1_LOAD_URL_ASSET_FORM, DefenseMode.NONE, False, True, 302, [], ""
+    )
+
+
+@pytest.mark.parametrize(
+    "build, fields",
+    [
+        (
+            lambda: parse_html(ATTACK_PAGE_HTML, origin=OPAQUE),
+            ("origin", "forms", "auto_submit"),
+        ),
+        (
+            lambda: WebViewInstance(None).load_data("<p>", "text/html", "UTF-8"),
+            ("status", "response", "document", "overridden", "submission"),
+        ),
+        (
+            _attack_outcome,
+            ("scenario", "defense", "spoof", "success", "http_status", "evidence", "notes",
+             "state_before", "state_after"),
+        ),
+        (lambda: ForumApp()._open_session("sohini"), ("session_id", "username", "csrf_token")),
+        (lambda: MatrixReport((_attack_outcome(),), 1), ("grid", "seed")),
+    ],
+    ids=["DocumentContext", "LoadResult", "AttackOutcome", "SessionRecord", "MatrixReport"],
+)
+def test_no_field_of_a_record_can_be_set(build, fields):
+    record = build()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    if isinstance(record, DocumentContext):
+        assert type(record.forms) is tuple and record.forms
 
 
 def test_parse_memo_still_warns_on_a_hit():
@@ -261,7 +288,7 @@ def test_parser_totality(text):
     for form in doc.forms:
         assert form.action.startswith("http://")
     if doc.auto_submit is not None:
-        assert resolve_form(doc, doc.auto_submit) is not None
+        assert resolve_form(doc.forms, doc.auto_submit) is not None
 
 
 # ------------------------------------------------------------- load_url
@@ -292,7 +319,7 @@ def test_load_url_formless_page_no_navigation(lab_server):
     view.set_navigation_hook(lambda url: fired.append(url) and False)
     result = view.load_url(f"{server.base_url()}/cgi-bin/Forum/index.php")
     assert result.status == 200
-    assert result.document.forms == []
+    assert result.document.forms == ()
     assert result.submission is None
     assert fired == []
 
@@ -481,7 +508,7 @@ def test_load_data_drops_a_form_whose_action_is_beyond_latin_1(caplog):
             "text/html",
             "UTF-8",
         )
-    assert result.document.forms == []
+    assert result.document.forms == ()
     assert result.submission is None
     assert "matches no form" in caplog.text
 
@@ -498,7 +525,7 @@ def test_load_data_drops_a_form_whose_host_is_beyond_latin_1(caplog):
             "text/html",
             "UTF-8",
         )
-    assert result.document.forms == []
+    assert result.document.forms == ()
     assert result.submission is None
     assert "matches no form" in caplog.text
     with pytest.raises(BadUrl):
@@ -510,7 +537,7 @@ def test_load_data_drops_a_form_whose_host_is_beyond_latin_1(caplog):
 def test_load_data_empty_document():
     view = WebViewInstance(TcpTransport())
     result = view.load_data("", "text/html", "UTF-8")
-    assert result.document.forms == []
+    assert result.document.forms == ()
     assert result.submission is None
 
 
@@ -595,7 +622,7 @@ def test_post_url_attaches_strict_cookie(lab_server):
     seed_users(server)
     view = make_view(server)
     login_through_view(view, server.base_url())
-    assert view.cookie_store.entries[0].same_site is SameSite.STRICT
+    assert view.cookie_store[0].same_site is SameSite.STRICT
     result = view.post_url(
         f"{server.base_url()}/cgi-bin/Forum/new_pm.php",
         b"recip=user1&title=t&message=m",
