@@ -112,7 +112,7 @@ def _cmd_serve(args) -> int:
     finally:
         server.stop()
         signal.signal(signal.SIGTERM, previous)
-    print("stopped")
+    print("stopped", flush=True)
     return EXIT_OK
 
 

@@ -134,6 +134,18 @@ def _html_response(body_html: str) -> HttpResponse:
     )
 
 
+# A stored user's, session's or post's field is a str, unless listed here.
+_FIELD_TYPES = {"csrf_token": (str, type(None)), "recipient": (str, type(None)), "seq": (int,)}
+
+
+def _typed(where: str, record: dict) -> dict:
+    """record, when each field has its stored type (ValueError otherwise)."""
+    for key, value in record.items():
+        if type(value) not in _FIELD_TYPES.get(key, (str,)):
+            raise ValueError(f"{where} has {key} {value!r}, of type {type(value).__name__}")
+    return record
+
+
 _USERNAME_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 )
@@ -481,14 +493,14 @@ class ForumApp:
         app = cls(policy=DefenseMode(doc["policy"]), seed=doc["seed"], admin_token=admin_token)
         app.tokens.counter = doc["token_counter"]
         # Each record takes exactly the keys the snapshot writes for it.
-        for u in doc["users"]:
-            app.users[u["username"]] = User(**u)
-        for s in doc["sessions"]:
+        for i, u in enumerate(doc["users"]):
+            app.users[u["username"]] = User(**_typed(f"user {i}", u))
+        for i, s in enumerate(doc["sessions"]):
             if s["username"] not in app.users:
                 raise ValueError(f"session {s['session_id']!r} names no user")
-            app.sessions[s["session_id"]] = SessionRecord(**s)
+            app.sessions[s["session_id"]] = SessionRecord(**_typed(f"session {i}", s))
         for i, p in enumerate(doc["posts"]):
-            if type(p["seq"]) is not int or p["seq"] != i + 1:
+            if _typed(f"post {i}", p)["seq"] != i + 1:
                 raise ValueError(f"post {i} has seq {p['seq']!r}, not {i + 1}")
             post = PostRecord(**{**p, "kind": PostKind(p["kind"])})
             # As the handlers make them: a post is from a user, a private

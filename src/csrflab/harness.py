@@ -13,9 +13,11 @@ Success is decided from server-state evidence (new posts attributed to
 the victim with the attack's title), never from the HTTP status alone;
 the status is recorded alongside for the grid.
 
-SCENARIOS is the one table of the four scenarios; EXPECTED_GRID and
-matrix_cells() are derived from it, and the CLI exits nonzero when a
-run disagrees with the grid:
+SCENARIOS is the one table of the four scenarios.  Each declares its
+initiator, and expected_cell derives every cell's outcome from it, and
+from what the defense can see; EXPECTED_GRID and matrix_cells() are
+built from that, and the CLI exits nonzero when a run disagrees with
+the grid:
 
   A1  load_url of a packaged attack page that auto-submits a hidden form
   A2  load_data of the same markup as a raw string (opaque origin)
@@ -282,93 +284,89 @@ def _body_excerpt(response) -> str:
 # ------------------------------------------------------------- scenarios
 
 
+class Initiator(enum.Enum):
+    """Who sends a scenario's attack request, the one fact its cells turn on."""
+
+    CROSS_SITE_DOCUMENT = "a cross-site document in the WebView"
+    API_CALL = "the WebView API, with no document"
+    NO_BROWSER = "a client of the app's own, with no browser"
+
+
 class ScenarioSpec(NamedTuple):
     """One row: title is that of the forged post whose presence proves
-    success; expected maps each (defense, spoof) cell, in matrix order,
-    to (success, status of the attack's own request)."""
+    success."""
 
-    id: ScenarioId
     title: str
     notes: str
     attack: Callable[..., tuple[int, str]]
-    expected: dict[tuple[DefenseMode, bool], tuple[bool, int]]
+    initiator: Initiator
 
 
-# The none column reproduces the undefended forum; the rest follow from
-# which component each defense can see (tokens: body; origins: headers;
-# SameSite: browser attachment).  The one spoof cell, A4 with a forged
-# Origin, is only a distinct experiment where origins are checked.
+# The grid is derived, not listed: expected_cell gives each cell from the
+# row's initiator and from which component each defense can see (tokens:
+# body; origins: headers; SameSite: browser attachment).
 SCENARIOS: dict[ScenarioId, ScenarioSpec] = {
-    spec.id: spec
-    for spec in (
-        ScenarioSpec(
-            ScenarioId.A1_LOAD_URL_ASSET_FORM,
-            title=fixtures.ATTACK_TITLE,
-            notes="auto-submitting form loaded from a packaged asset",
-            attack=_load_asset_page,
-            expected={
-                (DefenseMode.NONE, False): (True, 302),
-                (DefenseMode.CSRF_TOKEN, False): (False, 403),
-                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
-                (DefenseMode.SAMESITE_STRICT, False): (False, 401),
-            },
-        ),
-        ScenarioSpec(
-            ScenarioId.A2_LOAD_DATA,
-            title=fixtures.ATTACK_TITLE,
-            notes="auto-submitting form loaded as raw data, opaque origin",
-            attack=_load_raw_data,
-            expected={
-                (DefenseMode.NONE, False): (True, 302),
-                (DefenseMode.CSRF_TOKEN, False): (False, 403),
-                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
-                (DefenseMode.SAMESITE_STRICT, False): (False, 401),
-            },
-        ),
-        ScenarioSpec(
-            ScenarioId.A3_POST_URL,
-            title=fixtures.API_POST_TITLE,
-            notes="direct API POST with no initiating document",
-            attack=_post_url,
-            expected={
-                (DefenseMode.NONE, False): (True, 302),
-                (DefenseMode.CSRF_TOKEN, False): (False, 403),
-                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
-                (DefenseMode.SAMESITE_STRICT, False): (True, 302),
-            },
-        ),
-        ScenarioSpec(
-            ScenarioId.A4_FORGED_CLIENT,
-            title=fixtures.API_POST_TITLE,
-            notes="forged request carrying the captured session cookie",
-            attack=_forged_client,
-            expected={
-                (DefenseMode.NONE, False): (True, 302),
-                (DefenseMode.CSRF_TOKEN, False): (False, 403),
-                (DefenseMode.ORIGIN_CHECK, False): (False, 403),
-                (DefenseMode.SAMESITE_STRICT, False): (True, 302),
-                (DefenseMode.ORIGIN_CHECK, True): (True, 302),
-            },
-        ),
-    )
+    ScenarioId.A1_LOAD_URL_ASSET_FORM: ScenarioSpec(
+        title=fixtures.ATTACK_TITLE,
+        notes="auto-submitting form loaded from a packaged asset",
+        attack=_load_asset_page,
+        initiator=Initiator.CROSS_SITE_DOCUMENT,
+    ),
+    ScenarioId.A2_LOAD_DATA: ScenarioSpec(
+        title=fixtures.ATTACK_TITLE,
+        notes="auto-submitting form loaded as raw data, opaque origin",
+        attack=_load_raw_data,
+        initiator=Initiator.CROSS_SITE_DOCUMENT,
+    ),
+    ScenarioId.A3_POST_URL: ScenarioSpec(
+        title=fixtures.API_POST_TITLE,
+        notes="direct API POST with no initiating document",
+        attack=_post_url,
+        initiator=Initiator.API_CALL,
+    ),
+    ScenarioId.A4_FORGED_CLIENT: ScenarioSpec(
+        title=fixtures.API_POST_TITLE,
+        notes="forged request carrying the captured session cookie",
+        attack=_forged_client,
+        initiator=Initiator.NO_BROWSER,
+    ),
 }
 
-# (success, status) per (scenario, defense, spoof).
-EXPECTED_GRID: dict[tuple[str, str, bool], tuple[bool, int]] = {
-    (spec.id.value, defense.value, spoof): outcome
-    for spec in SCENARIOS.values()
-    for (defense, spoof), outcome in spec.expected.items()
-}
+
+def expected_cell(spec: ScenarioSpec, defense: DefenseMode, spoof: bool) -> tuple[bool, int, str]:
+    """(success, status of the attack's own request, decided_by) of one
+    cell.  No initiator can read the session's token, which only a form
+    page's body carries.  None sends the site's Origin, unless no browser
+    stands in between and it spoofs one.  SameSite=Strict withholds the
+    cookie only from a request that a cross-site document starts."""
+    if defense is DefenseMode.CSRF_TOKEN:
+        return False, 403, "server:missing_or_bad_token"
+    if defense is DefenseMode.ORIGIN_CHECK and not spoof:
+        return False, 403, "server:bad_origin"
+    if defense is DefenseMode.SAMESITE_STRICT and spec.initiator is Initiator.CROSS_SITE_DOCUMENT:
+        return False, 401, "emulator:samesite_withheld"
+    return True, 302, "none"
 
 
 def matrix_cells() -> list[tuple[ScenarioId, DefenseMode, bool]]:
     """The 17 cells in table order: every scenario under every defense,
-    plus the one spoof variant."""
+    then a spoofed Origin, which is a distinct experiment only for the
+    initiator that can forge one and only where origins are checked."""
     return [
-        (spec.id, defense, spoof)
-        for spec in SCENARIOS.values()
-        for defense, spoof in spec.expected
+        (scenario, defense, spoof)
+        for scenario, spec in SCENARIOS.items()
+        for spoof in (False, True)
+        for defense in DefenseMode
+        if not spoof
+        or (defense is DefenseMode.ORIGIN_CHECK and spec.initiator is Initiator.NO_BROWSER)
     ]
+
+
+# (success, status) per (scenario, defense, spoof).
+EXPECTED_GRID: dict[tuple[str, str, bool], tuple[bool, int]] = {
+    (scenario.value, defense.value, spoof): expected_cell(SCENARIOS[scenario], defense, spoof)[:2]
+    for scenario, defense, spoof in matrix_cells()
+}
 
 
 def run_scenario(

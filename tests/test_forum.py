@@ -568,6 +568,28 @@ def test_handle_raw_is_total_under_byte_mutations(policy, which, mutations):
     parse_response(app.handle_raw(raw))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(DefenseMode)),
+    st.lists(
+        st.tuples(st.integers(min_value=0), st.lists(_MUTATION, max_size=2)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_two_apps_of_one_seed_replay_one_request_sequence_byte_identically(policy, steps):
+    # The module's promise, which a journal of raw requests would rest on:
+    # one seed and one request sequence, some of it mutated, give the same
+    # bytes back and the same state.
+    one, two = _app(policy), _app(policy)
+    valid = _valid_raw_requests(one)
+    assert _valid_raw_requests(two) == valid
+    for which, mutations in steps:
+        raw = _mutate(valid[which % len(valid)], mutations)
+        assert one.handle_raw(raw) == two.handle_raw(raw)
+    assert one.snapshot() == two.snapshot()
+
+
 def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     app = _scripted_run(42)
@@ -598,6 +620,17 @@ def test_save_snapshot_keeps_the_old_file_when_writing_fails(tmp_path, monkeypat
         '{"policy": "none", "seed": 1, "token_counter": 0, "next_seq": 2,'
         ' "users": [], "sessions": [], "posts": [{"kind": "topic", "sender": "a",'
         ' "recipient": null, "title": "t", "message": "m", "seq": 7}]}',
+        # A title that is no string: every index page would answer 500.
+        '{"policy": "none", "seed": 1, "token_counter": 1, "next_seq": 2,'
+        ' "users": [{"username": "a", "salt": "s", "password_digest": "d"}], "sessions": [],'
+        ' "posts": [{"kind": "topic", "sender": "a", "recipient": null, "title": ["x"],'
+        ' "message": "m", "seq": 1}]}',
+        '{"policy": "none", "seed": 1, "token_counter": 1, "next_seq": 1,'
+        ' "users": [{"username": "a", "salt": 1, "password_digest": "d"}],'
+        ' "sessions": [], "posts": []}',
+        '{"policy": "none", "seed": 1, "token_counter": 2, "next_seq": 1,'
+        ' "users": [{"username": "a", "salt": "s", "password_digest": "d"}],'
+        ' "sessions": [{"session_id": "i", "username": "a", "csrf_token": 5}], "posts": []}',
     ],
 )
 def test_load_snapshot_rejects_corrupt_files(tmp_path, text):

@@ -507,6 +507,48 @@ class TestMatrix:
         assert grid[("A3", "samesite_strict", False)] == (True, 302)
         assert grid[("A4", "origin_check", True)] == (True, 302)
 
+    def test_derived_grid_is_the_listed_reference_in_its_order(self):
+        # The grid as it was listed by hand, in matrix order, before
+        # expected_cell derived it from each scenario's initiator.
+        assert list(harness.EXPECTED_GRID.items()) == list(_REFERENCE_GRID.items())
+        assert [
+            (scenario.value, defense.value, spoof) for scenario, defense, spoof in matrix_cells()
+        ] == list(_REFERENCE_GRID)
+        # Each cell has one decider, and only an attack that nothing
+        # decided lands.
+        landed, *denied = (
+            _decided_by(value)
+            for value in (
+                "none",
+                "server:missing_or_bad_token",
+                "server:bad_origin",
+                "emulator:samesite_withheld",
+            )
+        )
+        assert len(landed) + sum(map(len, denied)) == len(landed.union(*denied)) == 17
+        assert landed == {key for key, (success, _) in _REFERENCE_GRID.items() if success}
+
+
+_REFERENCE_GRID = {
+    ("A1", "none", False): (True, 302),
+    ("A1", "csrf_token", False): (False, 403),
+    ("A1", "origin_check", False): (False, 403),
+    ("A1", "samesite_strict", False): (False, 401),
+    ("A2", "none", False): (True, 302),
+    ("A2", "csrf_token", False): (False, 403),
+    ("A2", "origin_check", False): (False, 403),
+    ("A2", "samesite_strict", False): (False, 401),
+    ("A3", "none", False): (True, 302),
+    ("A3", "csrf_token", False): (False, 403),
+    ("A3", "origin_check", False): (False, 403),
+    ("A3", "samesite_strict", False): (True, 302),
+    ("A4", "none", False): (True, 302),
+    ("A4", "csrf_token", False): (False, 403),
+    ("A4", "origin_check", False): (False, 403),
+    ("A4", "samesite_strict", False): (True, 302),
+    ("A4", "origin_check", True): (True, 302),
+}
+
 
 # -------------------------------------------------- which rule decides
 
@@ -536,12 +578,21 @@ def _rule_off(monkeypatch, rule):
         monkeypatch.setattr(WebViewInstance, "_network_exchange", without_origin)
 
 
+def _decided_by(value):
+    """The cells whose derived outcome names value as its decider."""
+    return {
+        (scenario.value, defense.value, spoof)
+        for scenario, defense, spoof in matrix_cells()
+        if harness.expected_cell(harness.SCENARIOS[scenario], defense, spoof)[2] == value
+    }
+
+
 @pytest.mark.parametrize(
     "rule, flipped",
     [
-        ("csrf_token", {(s, "csrf_token", False) for s in ("A1", "A2", "A3", "A4")}),
-        ("origin_check", {(s, "origin_check", False) for s in ("A1", "A2", "A3", "A4")}),
-        ("samesite_strict", {("A1", "samesite_strict", False), ("A2", "samesite_strict", False)}),
+        ("csrf_token", _decided_by("server:missing_or_bad_token")),
+        ("origin_check", _decided_by("server:bad_origin")),
+        ("samesite_strict", _decided_by("emulator:samesite_withheld")),
         # A1 and A2 send "Origin: null" and A3 and A4 none; the forum
         # denies both alike, so the grid cannot tell them apart.
         ("emulator_origin_header", set()),
