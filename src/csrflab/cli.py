@@ -98,8 +98,19 @@ def _cmd_serve(args) -> int:
         return EXIT_SETUP_ERROR
     # SIGTERM (kill, service managers) stops the server as Ctrl-C does:
     # the finally stops it and writes the snapshot, also when the signal
-    # lands while the banner is printed.
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # lands while the banner is printed.  The first signal ignores the
+    # rest until stop() has returned, so that a second one (GNU timeout
+    # signals the child and its process group) cannot interrupt the
+    # snapshot.  A SIGINT ignored at start stays ignored.
+    def interrupt(signum, frame):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    previous_term = signal.signal(signal.SIGTERM, interrupt)
+    previous_int = signal.getsignal(signal.SIGINT)
+    if previous_int is not signal.SIG_IGN:
+        signal.signal(signal.SIGINT, interrupt)
     try:
         print(
             f"serving on {server.base_url()} "
@@ -111,7 +122,8 @@ def _cmd_serve(args) -> int:
         pass
     finally:
         server.stop()
-        signal.signal(signal.SIGTERM, previous)
+        signal.signal(signal.SIGTERM, previous_term)
+        signal.signal(signal.SIGINT, previous_int)
     print("stopped", flush=True)
     return EXIT_OK
 

@@ -79,5 +79,5 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

@@ -13,6 +13,14 @@ Success is decided from server-state evidence (new posts attributed to
 the victim with the attack's title), never from the HTTP status alone;
 the status is recorded alongside for the grid.
 
+Over TCP the lab's threads share one CPU.  Every exchange passes the
+interpreter lock between the client and the server's worker about four
+times, and on a machine with more than one CPU each pass to a thread on
+another CPU has to wake that CPU first.  open_lab restricts the calling
+thread to the lowest CPU of its mask before the server's workers are
+created, so that they inherit it, and gives the thread its own mask
+back on exit.
+
 SCENARIOS is the one table of the four scenarios.  Each declares its
 initiator, and expected_cell derives every cell's outcome from it, and
 from what the defense can see; EXPECTED_GRID and matrix_cells() are
@@ -32,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
+import os
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
@@ -191,17 +200,35 @@ class Lab(NamedTuple):
 @contextlib.contextmanager
 def open_lab(seed: int = DEFAULT_SEED, in_process: bool = False) -> Iterator[Lab]:
     """The lab every run_scenario call needs, for one seed.  Over TCP,
-    one ephemeral-port ForumServer for the whole run, stopped on exit;
-    in-process, dispatch straight into the mounted app.  Either way the
-    attack page is built once, for the lab's base_url."""
+    one ephemeral-port ForumServer for the whole run, stopped on exit,
+    whose workers share the calling thread's one CPU; in-process,
+    dispatch straight into the mounted app.  Either way the attack page
+    is built once, for the lab's base_url."""
     if in_process:
         transport = InProcessTransport(None)
         base_url = fixtures.DEFAULT_BASE_URL
         yield Lab(transport, base_url, transport, fixtures.attack_form_html(base_url), seed)
         return
-    with ForumServer(LabConfig(port=0, seed=seed)) as server:
+    with _one_cpu(), ForumServer(LabConfig(port=0, seed=seed)) as server:
         base_url = server.base_url()
         yield Lab(TcpTransport(), base_url, server, fixtures.attack_form_html(base_url), seed)
+
+
+@contextlib.contextmanager
+def _one_cpu() -> Iterator[None]:
+    """Restrict the calling thread, and the threads it starts, to the
+    lowest CPU of its mask, and restore its mask on exit.  Threads that
+    already exist keep theirs: Linux sets affinity per thread.  A no-op
+    where os has no sched_setaffinity."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def _set_up(lab: Lab, request: HttpRequest, step: str, status: int) -> HttpResponse:

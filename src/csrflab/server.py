@@ -13,6 +13,11 @@ is what ends each worker loop.  stop() then writes the snapshot under
 the lock each worker holds from its "stopped?" check through
 handle_raw, so a change answered before stop() is in the snapshot, and
 a request that is complete only after it is closed unanswered.
+
+The workers run on the CPUs of the thread that calls start(): csrf-lab
+serve leaves them every CPU of the process, while harness.open_lab
+starts its server on one CPU, so that the lab's closed loop hands the
+interpreter lock over without waking another CPU.
 """
 
 from __future__ import annotations

@@ -21,9 +21,12 @@ calls the resolver only for a name such as localhost (IPv4 only;
 parse_url rejects IPv6 hosts).  socket.create_connection would call
 getaddrinfo every time, which releases the interpreter lock while the
 server's worker waits for it: one more handoff between the two threads
-of an exchange.  A response is read to EOF, and its head must end
-within MAX_MESSAGE_PART bytes, as a request head must.  Its body has
-no cap: the forum's own /admin/state lists every post.
+of an exchange.  harness.open_lab keeps both threads on one CPU, as an
+exchange hands the lock over about four times, and each handoff to a
+thread on another CPU has to wake that CPU first.  A response is read
+to EOF, and its head must end within MAX_MESSAGE_PART bytes, as a
+request head must.  Its body has no cap: the forum's own /admin/state
+lists every post.
 """
 
 from __future__ import annotations

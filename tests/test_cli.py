@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -208,6 +209,14 @@ class TestServeCommand:
         assert cli.main(["serve", "--config", str(conf)]) == 2
         assert "listen" in capsys.readouterr().err
 
+    def test_a_config_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        conf = tmp_path / "lab.conf"
+        conf.write_bytes(b"port = 8080\n# caf\xe9\n")
+        assert cli.main(["serve", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"csrf-lab: cannot read config {str(conf)!r}: ")
+        assert err.count("\n") == 1
+
     def test_corrupt_snapshot_exits_two(self, tmp_path, capsys):
         snapshot = tmp_path / "state.json"
         snapshot.write_text('{"policy": "none", "se')
@@ -342,4 +351,81 @@ class TestServeCommand:
                 out, err = proc.communicate(timeout=10)
         assert proc.returncode == 0, err
         assert out == "stopped\n"
+        assert json.loads(snapshot.read_text())["seed"] == 5
+
+    @pytest.mark.parametrize("sigint_ignored", [False, True])
+    def test_signals_during_stop_are_ignored(self, tmp_path, monkeypatch, sigint_ignored):
+        # SIGTERM stops the server; one more SIGTERM while stop() runs
+        # must not interrupt it.  A SIGINT ignored at start stays ignored.
+        snapshot = tmp_path / "state.json"
+        seen = {}
+        stop = cli.ForumServer.stop
+
+        def serve_until_signalled(server):
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(10)
+
+        def stop_under_a_second_signal(server):
+            seen["during"] = (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT))
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(0.05)
+            stop(server)
+
+        monkeypatch.setattr(cli.ForumServer, "serve_blocking", serve_until_signalled)
+        monkeypatch.setattr(cli.ForumServer, "stop", stop_under_a_second_signal)
+        before = (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT))
+        if sigint_ignored:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            code = cli.main(["serve", "--port", "0", "--seed", "5", "--snapshot", str(snapshot)])
+            after = (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT))
+        except KeyboardInterrupt:
+            pytest.fail("a second signal interrupted stop()")
+        finally:
+            signal.signal(signal.SIGTERM, before[0])
+            signal.signal(signal.SIGINT, before[1])
+        assert code == 0
+        assert seen["during"] == (signal.SIG_IGN, signal.SIG_IGN)
+        assert after == (before[0], signal.SIG_IGN if sigint_ignored else before[1])
+        assert json.loads(snapshot.read_text())["seed"] == 5
+
+    def test_a_second_sigterm_during_shutdown_still_writes_the_snapshot(self, tmp_path):
+        # GNU timeout signals the child and its process group, so serve
+        # can get a second signal while the first one's stop() runs.  Here
+        # stop() waits for a line on stdin, so the second signal surely
+        # lands inside it.  (A worker busy with a connection would not
+        # hold stop() open: it waits only for the idle workers.)
+        snapshot = tmp_path / "state.json"
+        child = (
+            "import sys\n"
+            "from csrflab import cli\n"
+            "stop = cli.ForumServer.stop\n"
+            "def held_stop(server):\n"
+            "    print('stopping', file=sys.stderr, flush=True)\n"
+            "    sys.stdin.readline()\n"
+            "    stop(server)\n"
+            "cli.ForumServer.stop = held_stop\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", child, "serve", "--port", "0",
+             "--seed", "5", "--snapshot", str(snapshot)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                assert proc.stdout.readline().startswith("serving on http://127.0.0.1:")
+                proc.terminate()
+                assert proc.stderr.readline() == "stopping\n"
+                proc.terminate()
+            finally:
+                try:
+                    out, err = proc.communicate("\n", timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert (out, err) == ("stopped\n", "")
         assert json.loads(snapshot.read_text())["seed"] == 5

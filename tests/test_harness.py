@@ -3,9 +3,11 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import tempfile
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from csrflab.harness import (
     ScenarioId,
     ScenarioSetupFailed,
     SnapshotMismatch,
+    compare_with_expected,
     matrix_cells,
     open_lab,
     run_matrix,
@@ -607,3 +610,63 @@ def test_each_rule_decides_exactly_its_cells(monkeypatch, rule, flipped):
     }
     assert len(cells) == 17
     assert {key for key, got in cells.items() if got != harness.EXPECTED_GRID[key]} == flipped
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU affinity here"
+)
+needs_two_cpus = pytest.mark.skipif(_cpu_count() < 2, reason="one CPU: nothing to pin")
+
+
+class TestOneCpu:
+    @needs_two_cpus
+    def test_the_client_and_the_worker_share_one_cpu(self, monkeypatch):
+        seen = set()
+        handle_raw = ForumApp.handle_raw
+
+        def recording(app, raw):
+            seen.add((threading.current_thread().name, frozenset(os.sched_getaffinity(0))))
+            return handle_raw(app, raw)
+
+        monkeypatch.setattr(ForumApp, "handle_raw", recording)
+        with open_lab() as lab:
+            outcome = run_scenario(lab, ScenarioId.A4_FORGED_CLIENT, DefenseMode.NONE)
+            client = os.sched_getaffinity(0)
+        lowest = frozenset({min(os.sched_getaffinity(0))})
+        assert outcome.success
+        assert client == lowest
+        assert seen == {("csrf-lab-server", lowest)}
+
+    @needs_two_cpus
+    def test_the_lab_pins_to_the_lowest_cpu_of_the_callers_mask(self):
+        mask = os.sched_getaffinity(0)
+        narrowed = mask - {min(mask)}
+        os.sched_setaffinity(0, narrowed)
+        try:
+            with open_lab():
+                inside = os.sched_getaffinity(0)
+            after = os.sched_getaffinity(0)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert inside == {min(narrowed)}
+        assert after == narrowed
+
+    @needs_affinity
+    def test_the_callers_mask_is_restored(self):
+        mask = os.sched_getaffinity(0)
+        assert compare_with_expected(run_matrix(1337)) == []
+        assert os.sched_getaffinity(0) == mask
+        with pytest.raises(RuntimeError, match="the lab body broke"):
+            with open_lab():
+                raise RuntimeError("the lab body broke")
+        assert os.sched_getaffinity(0) == mask
+        with open_lab(in_process=True):
+            assert os.sched_getaffinity(0) == mask
+
+    def test_without_affinity_the_tcp_matrix_still_matches_the_grid(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert compare_with_expected(run_matrix(1337)) == []
